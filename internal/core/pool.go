@@ -45,8 +45,8 @@ func (p *ScratchPool) Source() *SourceScratch { return p.source.Get().(*SourceSc
 // PutSource returns a scratch obtained from Source.
 func (p *ScratchPool) PutSource(s *SourceScratch) { p.source.Put(s) }
 
-// Vector gets a NumNodes-length float64 buffer (contents unspecified;
-// SingleSource zeroes what it writes into). Return it with PutVector.
+// Vector gets a NumNodes-length float64 buffer with unspecified contents
+// (SingleSource overwrites every element). Return it with PutVector.
 func (p *ScratchPool) Vector() []float64 { return *p.vec.Get().(*[]float64) }
 
 // PutVector returns a buffer obtained from Vector.
@@ -69,16 +69,14 @@ func (p *ScratchPool) SingleSource(u graph.NodeID, out []float64) []float64 {
 	return res
 }
 
-// TopK is Index.TopK with pooled scratch and score vector; only the
-// k-element result is allocated.
+// TopK is Index.TopK with pooled scratch; only the k-element result is
+// allocated.
 func (p *ScratchPool) TopK(u graph.NodeID, k int) []TopEntry {
 	if k <= 0 {
 		return nil
 	}
 	s := p.Source()
-	vec := p.Vector()
-	top := p.x.TopK(u, k, s, vec)
-	p.PutVector(vec)
+	top := p.x.top(u, k, u, s)
 	p.PutSource(s)
 	return top
 }
@@ -91,9 +89,7 @@ func (p *ScratchPool) SourceTop(u graph.NodeID, limit int) []TopEntry {
 		return nil
 	}
 	s := p.Source()
-	vec := p.Vector()
-	top := SelectTop(p.x.SingleSource(u, s, vec), limit, -1)
-	p.PutVector(vec)
+	top := p.x.top(u, limit, -1, s)
 	p.PutSource(s)
 	return top
 }

@@ -606,15 +606,25 @@ func (d *DiskIndex) fetch(v graph.NodeID, s *DiskScratch, keys *[]uint64, vals *
 // read fetches H(u), then the Algorithm 6 propagation runs as in memory
 // (it needs only the graph and the memory-resident d̃ values).
 func (d *DiskIndex) SingleSource(u graph.NodeID, s *DiskScratch, ss *SourceScratch, out []float64) ([]float64, error) {
+	keys, vals, err := d.gathered(u, s)
+	if err != nil {
+		return nil, err
+	}
+	return d.meta.SingleSourceFrom(keys, vals, ss, out), nil
+}
+
+// gathered fetches H(u) and applies the gather transformations, returning
+// u's effective entry list in s's buffers. A nil scratch allocates one.
+func (d *DiskIndex) gathered(u graph.NodeID, s *DiskScratch) ([]uint64, []float64, error) {
 	if s == nil {
 		s = d.NewScratch()
 	}
 	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	keys, vals := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
-	return d.meta.SingleSourceFrom(keys, vals, ss, out), nil
+	return keys, vals, nil
 }
 
 // SimRank answers a single-pair query with two positioned reads (or two

@@ -17,10 +17,10 @@ import (
 //     entry so the join needs no index at all (JoinScoreD);
 //   - single-source propagation (Algorithm 6) reads only the graph, d̃,
 //     and the parameters, which every shard holds in full, so any shard
-//     can propagate a broadcast fragment exactly and return its slice of
-//     the score vector (SingleSourceFrom + a range copy);
+//     can propagate a broadcast fragment exactly and write its slice of
+//     the score vector (SourceSlice scatters the in-range touched nodes);
 //   - top-k selection has a total deterministic order (WorseThan), so
-//     per-shard SelectTopRange answers of a partition merge losslessly.
+//     per-shard TopSlice answers of a partition merge losslessly.
 //
 // Every path reuses the single-index query code verbatim, so sharded
 // answers are bitwise-identical to the unsharded reference.
@@ -43,14 +43,10 @@ func (x *Index) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dva
 // positioned read (or a zero-copy view slice) plus the same gather
 // transformations.
 func (d *DiskIndex) FragmentOf(u graph.NodeID, s *DiskScratch) (keys []uint64, vals, dvals []float64, err error) {
-	if s == nil {
-		s = d.NewScratch()
-	}
-	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
+	gk, gv, err := d.gathered(u, s)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gk, gv := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
 	keys, vals, dvals = copyFragment(gk, gv, d.meta.d)
 	return keys, vals, dvals, nil
 }
@@ -151,28 +147,30 @@ func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []flo
 }
 
 // SourceSlice propagates an already-gathered fragment (Algorithm 6 over
-// the full node space) and returns a fresh copy of the [lo, hi) slice of
-// the resulting score vector, with pooled scratch.
-func (p *ScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int) []float64 {
+// the full node space) and writes the [lo, hi) slice of the resulting
+// score vector into dst[:hi-lo], overwriting it in full, with pooled
+// scratch. Only dst costs O(hi-lo); the propagation itself stays sparse.
+func (p *ScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int, dst []float64) {
 	s := p.Source()
-	vec := p.Vector()
-	res := p.x.SingleSourceFrom(keys, vals, s, vec)
-	out := append([]float64(nil), res[lo:hi]...)
-	p.PutVector(vec)
+	p.x.sourceSlice(keys, vals, s, lo, hi, dst)
 	p.PutSource(s)
-	return out
 }
 
 // TopSlice propagates a fragment and selects the local top-k of the
 // [lo, hi) node range, with pooled scratch.
 func (p *ScratchPool) TopSlice(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
 	s := p.Source()
-	vec := p.Vector()
-	res := p.x.SingleSourceFrom(keys, vals, s, vec)
-	top := SelectTopRange(res, k, skip, lo, hi)
-	p.PutVector(vec)
+	p.x.propagate(keys, vals, s)
+	top := s.top(k, skip, lo, hi)
 	p.PutSource(s)
 	return top
+}
+
+func (x *Index) sourceSlice(keys []uint64, vals []float64, s *SourceScratch, lo, hi int, dst []float64) {
+	dst = dst[:hi-lo]
+	clear(dst)
+	x.propagate(keys, vals, s)
+	s.scatter(dst, lo, hi)
 }
 
 // Fragment is DiskScratchPool.Fragment: FragmentOf with pooled scratch.
@@ -185,23 +183,17 @@ func (p *DiskScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals [
 
 // SourceSlice is ScratchPool.SourceSlice for the disk index: propagation
 // uses only the memory-resident metadata, so no I/O occurs.
-func (p *DiskScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int) []float64 {
+func (p *DiskScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int, dst []float64) {
 	ss := p.source.Get().(*SourceScratch)
-	vec := p.vec.Get().(*[]float64)
-	res := p.d.meta.SingleSourceFrom(keys, vals, ss, *vec)
-	out := append([]float64(nil), res[lo:hi]...)
-	p.vec.Put(vec)
+	p.d.meta.sourceSlice(keys, vals, ss, lo, hi, dst)
 	p.source.Put(ss)
-	return out
 }
 
 // TopSlice is ScratchPool.TopSlice for the disk index.
 func (p *DiskScratchPool) TopSlice(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
 	ss := p.source.Get().(*SourceScratch)
-	vec := p.vec.Get().(*[]float64)
-	res := p.d.meta.SingleSourceFrom(keys, vals, ss, *vec)
-	top := SelectTopRange(res, k, skip, lo, hi)
-	p.vec.Put(vec)
+	p.d.meta.propagate(keys, vals, ss)
+	top := ss.top(k, skip, lo, hi)
 	p.source.Put(ss)
 	return top
 }

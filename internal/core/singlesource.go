@@ -21,10 +21,20 @@ import (
 // once. Total cost O(m·log²(1/ε)) with ε worst-case error (Lemma 12).
 
 // SourceScratch holds the per-query buffers of SingleSource.
+//
+// The propagation touches few nodes (a source at ε = 0.025 reaches tens
+// to hundreds of an n-node graph), so its result is kept sparse: acc is
+// the score accumulator and hits lists the nodes holding a nonzero
+// score, in first-touch order without duplicates. Between calls acc is
+// all-zero and hits empty; every consumer of a propagation (scatter,
+// top) resets exactly the hit entries, so only the caller's own output
+// vector ever costs O(n).
 type SourceScratch struct {
 	q                 *Scratch
 	cur, next         []float64
 	curList, nextList []int32
+	acc               []float64
+	hits              []int32
 }
 
 // NewSourceScratch sizes a SourceScratch for the index's graph.
@@ -34,6 +44,7 @@ func (x *Index) NewSourceScratch() *SourceScratch {
 		q:    x.NewScratch(),
 		cur:  make([]float64, n),
 		next: make([]float64, n),
+		acc:  make([]float64, n),
 	}
 }
 
@@ -55,6 +66,9 @@ func (x *Index) SingleSource(u graph.NodeID, s *SourceScratch, out []float64) []
 // the shard-side half of scatter/gather single-source — propagation needs
 // only the graph, d̃, and the parameters, all of which every shard holds
 // in full, so a shard can propagate any node's fragment exactly.
+//
+// out is overwritten in full: cleared once (skipped when it is freshly
+// allocated here), then the touched nodes are scattered into it.
 func (x *Index) SingleSourceFrom(keys []uint64, vals []float64, s *SourceScratch, out []float64) []float64 {
 	if s == nil {
 		s = x.NewSourceScratch()
@@ -62,28 +76,35 @@ func (x *Index) SingleSourceFrom(keys []uint64, vals []float64, s *SourceScratch
 	n := x.g.NumNodes()
 	if cap(out) < n {
 		out = make([]float64, n)
+	} else {
+		out = out[:n]
+		clear(out)
 	}
-	out = out[:n]
-	for i := range out {
-		out[i] = 0
-	}
-	// Entries are sorted by (step, node); process one step-group at a
-	// time.
+	x.propagate(keys, vals, s)
+	s.scatter(out, 0, n)
+	return out
+}
+
+// propagate runs Algorithm 6 from a gathered entry list into s's sparse
+// accumulator. Entries are sorted by (step, node); each step-group is
+// propagated in turn.
+func (x *Index) propagate(keys []uint64, vals []float64, s *SourceScratch) {
 	for lo := 0; lo < len(keys); {
 		l := keyStep(keys[lo])
 		hi := lo
 		for hi < len(keys) && keyStep(keys[hi]) == l {
 			hi++
 		}
-		x.propagateStep(keys[lo:hi], vals[lo:hi], l, s, out)
+		x.propagateStep(keys[lo:hi], vals[lo:hi], l, s)
 		lo = hi
 	}
-	return out
 }
 
 // propagateStep seeds ρ^(0)(k) = h̃^(ℓ)(u,k)·d̃_k for one step group and
-// runs ℓ local-update steps, accumulating ρ^(ℓ) into out.
-func (x *Index) propagateStep(keys []uint64, vals []float64, l int, s *SourceScratch, out []float64) {
+// runs ℓ local-update steps, accumulating ρ^(ℓ) into s.acc. Every
+// contribution is positive, so a node enters s.hits exactly once: when
+// its first nonzero contribution lands.
+func (x *Index) propagateStep(keys []uint64, vals []float64, l int, s *SourceScratch) {
 	s.curList = s.curList[:0]
 	for i, key := range keys {
 		k := keyNode(key)
@@ -113,9 +134,45 @@ func (x *Index) propagateStep(keys []uint64, vals []float64, l int, s *SourceScr
 		s.curList, s.nextList = s.nextList, s.curList
 	}
 	for _, v := range s.curList {
-		out[v] += s.cur[v]
+		rho := s.cur[v]
 		s.cur[v] = 0
+		if rho == 0 {
+			continue
+		}
+		if s.acc[v] == 0 {
+			s.hits = append(s.hits, v)
+		}
+		s.acc[v] += rho
 	}
+}
+
+// scatter writes the accumulated scores of the touched nodes in [lo, hi)
+// into dst[v-lo] (dst is assumed zero there otherwise) and resets the
+// accumulator, in range or not.
+func (s *SourceScratch) scatter(dst []float64, lo, hi int) {
+	for _, v := range s.hits {
+		if int(v) >= lo && int(v) < hi {
+			dst[int(v)-lo] = s.acc[v]
+		}
+		s.acc[v] = 0
+	}
+	s.hits = s.hits[:0]
+}
+
+// top selects the k best touched nodes in [lo, hi) under SelectTop's
+// order (skip excluded; a negative skip keeps every node) and resets the
+// accumulator. Untouched nodes score exactly 0 and SelectTop drops
+// non-positive scores, so this equals a dense selection over the range.
+func (s *SourceScratch) top(k int, skip graph.NodeID, lo, hi int) []TopEntry {
+	h := newTopHeap(k, len(s.hits))
+	for _, v := range s.hits {
+		if int(v) >= lo && int(v) < hi && v != skip {
+			h.offer(TopEntry{Node: v, Score: s.acc[v]})
+		}
+		s.acc[v] = 0
+	}
+	s.hits = s.hits[:0]
+	return h.sorted()
 }
 
 // SingleSourceNaive answers a single-source query by running the
@@ -218,10 +275,9 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 // ctx (nil means never) stops the fan-out between sources and returns
 // ctx.Err().
 func (x *Index) SingleSourceBatch(ctx context.Context, us []graph.NodeID, workers int) ([][]float64, error) {
-	n := x.g.NumNodes()
 	out := make([][]float64, len(us))
 	if err := x.forEachSource(ctx, len(us), workers, func(i int, s *SourceScratch) {
-		out[i] = x.SingleSource(us[i], s, make([]float64, n))
+		out[i] = x.SingleSource(us[i], s, nil)
 	}); err != nil {
 		return nil, err
 	}

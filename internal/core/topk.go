@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"sling/internal/graph"
 )
@@ -13,7 +13,9 @@ import (
 // candidate list per query (O(n log n) time, O(n) garbage) is the wrong
 // shape. SelectTop keeps a size-k min-heap over the vector instead:
 // O(n log k) time, O(k) space, and the only allocation is the k-element
-// result the caller keeps.
+// result the caller keeps. The index's own top-k paths go further and
+// offer the heap only the nodes the propagation touched (SourceScratch
+// hits), so they never scan or hold an n-length vector.
 
 // TopEntry is one (node, score) result of a top-k selection.
 type TopEntry struct {
@@ -37,67 +39,62 @@ func (a TopEntry) WorseThan(b TopEntry) bool {
 // excluded (pass a negative skip to keep every node), as are entries with
 // non-positive score, so fewer than k entries may be returned.
 func SelectTop(scores []float64, k int, skip graph.NodeID) []TopEntry {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	h := make([]TopEntry, 0, k)
+	h := newTopHeap(k, len(scores))
 	for v, sc := range scores {
-		if sc <= 0 || graph.NodeID(v) == skip {
-			continue
+		// Most of a score vector is zero; skip it before the call.
+		if sc > 0 && graph.NodeID(v) != skip {
+			h.offer(TopEntry{Node: graph.NodeID(v), Score: sc})
 		}
-		e := TopEntry{Node: graph.NodeID(v), Score: sc}
-		if len(h) < k {
-			h = append(h, e)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if !h[0].WorseThan(e) {
-			continue // e ranks behind the worst kept entry
-		}
-		h[0] = e
-		siftDown(h, 0)
 	}
-	// Heap-order is by "worst first"; the response wants best first.
-	sort.Slice(h, func(i, j int) bool { return h[j].WorseThan(h[i]) })
-	return h
+	return h.sorted()
 }
 
-// SelectTopRange is SelectTop restricted to the nodes in [lo, hi): the
-// per-shard half of a scatter/gather top-k. Because SelectTop's order is
-// total and every node belongs to exactly one range, concatenating the
-// SelectTopRange results of a partition of [0, n), sorting by WorseThan,
-// and truncating to k reproduces SelectTop(scores, k, skip) exactly —
-// per-shard k-pruning never changes the merged answer.
-func SelectTopRange(scores []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
-	if k <= 0 || lo >= hi {
-		return nil
+// topHeap is a size-k min-heap (root = worst kept entry) of the best
+// positive-score entries offered so far. Its result depends only on the
+// set of entries offered, not their order, because WorseThan is total.
+type topHeap struct {
+	h []TopEntry
+	k int
+}
+
+// newTopHeap returns a heap keeping the best k of at most m candidates.
+// k <= 0 keeps nothing and yields a nil result; otherwise the result is
+// non-nil even when empty, so it encodes as [] rather than null.
+func newTopHeap(k, m int) topHeap {
+	if k <= 0 {
+		return topHeap{}
 	}
-	if k > hi-lo {
-		k = hi - lo
+	k = min(k, m)
+	return topHeap{h: make([]TopEntry, 0, k), k: k}
+}
+
+// offer considers e, dropping it when its score is not positive or it
+// ranks behind every kept entry of a full heap.
+func (t *topHeap) offer(e TopEntry) {
+	switch {
+	case e.Score <= 0 || t.k == 0:
+	case len(t.h) < t.k:
+		t.h = append(t.h, e)
+		siftUp(t.h, len(t.h)-1)
+	case t.h[0].WorseThan(e):
+		t.h[0] = e
+		siftDown(t.h, 0)
 	}
-	h := make([]TopEntry, 0, k)
-	for v := lo; v < hi; v++ {
-		sc := scores[v]
-		if sc <= 0 || graph.NodeID(v) == skip {
-			continue
+}
+
+// sorted returns the kept entries best first. slices.SortFunc, unlike
+// sort.Slice, allocates nothing, so the result is the only allocation.
+func (t *topHeap) sorted() []TopEntry {
+	slices.SortFunc(t.h, func(a, b TopEntry) int {
+		switch {
+		case b.WorseThan(a):
+			return -1
+		case a.WorseThan(b):
+			return 1
 		}
-		e := TopEntry{Node: graph.NodeID(v), Score: sc}
-		if len(h) < k {
-			h = append(h, e)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if !h[0].WorseThan(e) {
-			continue
-		}
-		h[0] = e
-		siftDown(h, 0)
-	}
-	sort.Slice(h, func(i, j int) bool { return h[j].WorseThan(h[i]) })
-	return h
+		return 0
+	})
+	return t.h
 }
 
 // siftUp restores min-heap order (root = worst kept entry) after
@@ -134,12 +131,26 @@ func siftDown(h []TopEntry, i int) {
 }
 
 // TopK returns the k nodes most similar to u (excluding u itself) in
-// descending score order, running one single-source query and a heap
-// selection over it. out is the score buffer to compute into (allocated
-// when it lacks capacity); a nil scratch allocates one.
+// descending score order, running one single-source propagation and a
+// heap selection over the nodes it touched. out is unused (the scores
+// stay in the scratch's sparse accumulator); it is kept so existing
+// callers compile. A nil scratch allocates one.
 func (x *Index) TopK(u graph.NodeID, k int, s *SourceScratch, out []float64) []TopEntry {
 	if k <= 0 {
 		return nil
 	}
-	return SelectTop(x.SingleSource(u, s, out), k, u)
+	return x.top(u, k, u, s)
+}
+
+// top returns the k highest-scoring nodes for source u in
+// descending score order, ties broken by ascending node ID, excluding
+// skip (a negative skip keeps every node, u included). Only the k-element
+// result is allocated. A nil scratch allocates one.
+func (x *Index) top(u graph.NodeID, k int, skip graph.NodeID, s *SourceScratch) []TopEntry {
+	if s == nil {
+		s = x.NewSourceScratch()
+	}
+	keys, vals := x.gather(u, s.q, &s.q.ka, &s.q.va)
+	x.propagate(keys, vals, s)
+	return s.top(k, skip, 0, x.g.NumNodes())
 }

@@ -24,6 +24,18 @@ type Client interface {
 // The HTTP client already speaks the shard wire protocol.
 var _ Client = (*httpclient.Client)(nil)
 
+// sliceWriter is the optional upgrade of a Client that can write its
+// score slice straight into the router's output vector, the way io.Copy
+// upgrades a Reader to io.WriterTo. dst has hi-lo elements and is
+// overwritten in full. In-process clients implement it; clients that
+// do not (remote shards, wrappers) are served through SourceSlice and a
+// copy, with identical results.
+type sliceWriter interface {
+	SourceSliceInto(ctx context.Context, f *sling.Fragment, lo, hi int, dst []float64) error
+}
+
+var _ sliceWriter = localClient{}
+
 // localClient serves shard calls from an in-process backend (an
 // in-memory or disk index sliced to the shard's range).
 type localClient struct {
@@ -40,6 +52,10 @@ func (c localClient) Fragment(ctx context.Context, u sling.NodeID) (*sling.Fragm
 
 func (c localClient) SourceSlice(ctx context.Context, f *sling.Fragment, lo, hi int) ([]float64, error) {
 	return c.b.SourceSlice(ctx, f, lo, hi)
+}
+
+func (c localClient) SourceSliceInto(ctx context.Context, f *sling.Fragment, lo, hi int, dst []float64) error {
+	return c.b.SourceSliceInto(ctx, f, lo, hi, dst)
 }
 
 func (c localClient) TopSlice(ctx context.Context, f *sling.Fragment, k int, skip sling.NodeID, lo, hi int) ([]sling.Scored, error) {

@@ -29,9 +29,10 @@ const (
 //     shards (in parallel when they differ) and merge-joins them at the
 //     router — a two-shard join.
 //   - SingleSource fetches the source fragment from its owner, then
-//     broadcasts it: every shard propagates the fragment over its own
-//     node range and returns that score slice, which the router
-//     assembles into the full vector.
+//     broadcasts it: every shard propagates the fragment and fills its
+//     own node range of the output vector — in place for in-process
+//     shards (sliceWriter), through a returned slice and a copy for
+//     remote ones.
 //   - TopK/SourceTop broadcast the same fragment but gather per-shard
 //     local top-k lists — k-pruning inside each shard — and merge them.
 //     Each shard's list is its true local top-k under the global
@@ -112,7 +113,8 @@ func (q *Querier) checkNodes(us []sling.NodeID) error {
 func (q *Querier) groupByShard(us []sling.NodeID) [][]int {
 	byShard := make([][]int, len(q.clients))
 	for i, u := range us {
-		byShard[q.shardOf(u)] = append(byShard[q.shardOf(u)], i)
+		s := q.shardOf(u)
+		byShard[s] = append(byShard[s], i)
 	}
 	return byShard
 }
@@ -136,16 +138,20 @@ func (q *Querier) fragment(ctx context.Context, u sling.NodeID) (*sling.Fragment
 
 // scatter runs fn once per shard concurrently and returns the
 // lowest-shard error, so a multi-shard failure reports deterministically.
+// The last shard runs on the calling goroutine: one goroutine per extra
+// shard, none at all for a single shard.
 func (q *Querier) scatter(fn func(i int, s ShardInfo) error) error {
+	last := len(q.clients) - 1
 	errs := make([]error, len(q.clients))
 	var wg sync.WaitGroup
-	for i := range q.clients {
+	for i := 0; i < last; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = fn(i, q.man.Shards[i])
 		}(i)
 	}
+	errs[last] = fn(last, q.man.Shards[last])
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -180,7 +186,8 @@ func (q *Querier) SimRank(ctx context.Context, u, v sling.NodeID) (float64, erro
 }
 
 // singleSource is the shared scatter/gather core of SingleSource and
-// SingleSourceBatch: fetch u's fragment, broadcast it, assemble slices.
+// SingleSourceBatch: fetch u's fragment, broadcast it, and have every
+// shard fill its range of out.
 func (q *Querier) singleSource(ctx context.Context, u sling.NodeID, out []float64) ([]float64, error) {
 	f, err := q.fragment(ctx, u)
 	if err != nil {
@@ -192,21 +199,32 @@ func (q *Querier) singleSource(ctx context.Context, u sling.NodeID, out []float6
 	out = out[:q.n]
 	err = q.scatter(func(i int, s ShardInfo) error {
 		start := time.Now()
-		scores, serr := q.clients[i].SourceSlice(ctx, f, s.Lo, s.Hi)
+		serr := q.sourceSlice(ctx, i, f, s, out[s.Lo:s.Hi])
 		q.observe(i, start, serr)
-		if serr != nil {
-			return serr
-		}
-		if len(scores) != s.Hi-s.Lo {
-			return fmt.Errorf("shard %d returned %d scores for range [%d,%d)", i, len(scores), s.Lo, s.Hi)
-		}
-		copy(out[s.Lo:s.Hi], scores)
-		return nil
+		return serr
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// sourceSlice fills dst with shard i's slice of f's score vector:
+// directly when the client is a sliceWriter, otherwise through
+// SourceSlice and a copy.
+func (q *Querier) sourceSlice(ctx context.Context, i int, f *sling.Fragment, s ShardInfo, dst []float64) error {
+	if w, ok := q.clients[i].(sliceWriter); ok {
+		return w.SourceSliceInto(ctx, f, s.Lo, s.Hi, dst)
+	}
+	scores, err := q.clients[i].SourceSlice(ctx, f, s.Lo, s.Hi)
+	if err != nil {
+		return err
+	}
+	if len(scores) != len(dst) {
+		return fmt.Errorf("shard %d returned %d scores for range [%d,%d)", i, len(scores), s.Lo, s.Hi)
+	}
+	copy(dst, scores)
+	return nil
 }
 
 func (q *Querier) SingleSource(ctx context.Context, u sling.NodeID, out []float64) ([]float64, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sling"
@@ -475,5 +476,99 @@ func TestSplitRoundTrip(t *testing.T) {
 	}
 	if loaded.C != ix.C() || loaded.Eps != ix.ErrorBound() {
 		t.Fatalf("manifest params %v/%v, want %v/%v", loaded.C, loaded.Eps, ix.C(), ix.ErrorBound())
+	}
+}
+
+// plainClient hides a client's optional sliceWriter upgrade, the shape
+// of a remote or wrapping client, so the router takes the SourceSlice
+// plus copy path.
+type plainClient struct{ Client }
+
+// TestShardedSourceOverwritesOut: a caller vector pre-filled with NaN
+// must come back fully overwritten and bitwise equal to the unsharded
+// answer, whether shards write into it in place (in-process) or ship
+// slices the router copies.
+func TestShardedSourceOverwritesOut(t *testing.T) {
+	g := testGraph(90, 400, 29)
+	ix := buildIndex(t, g)
+	n := g.NumNodes()
+	for _, nshards := range []int{1, 2, 3} {
+		m, clients := InProcess(ix, nshards)
+		plain := make([]Client, len(clients))
+		for i, c := range clients {
+			if _, ok := c.(sliceWriter); !ok {
+				t.Fatalf("in-process client %d does not implement sliceWriter", i)
+			}
+			plain[i] = plainClient{c}
+		}
+		for _, cs := range [][]Client{clients, plain} {
+			q, err := New(m, cs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := sling.NodeID(0); int(u) < n; u += 4 {
+				want, err := ix.SingleSource(bg, u, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]float64, n)
+				for i := range out {
+					out[i] = math.NaN()
+				}
+				got, err := q.SingleSource(bg, u, out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &got[0] != &out[0] {
+					t.Fatalf("shards=%d: SingleSource did not write into the caller's vector", nshards)
+				}
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("shards=%d SingleSource(%d)[%d] = %x, want %x", nshards, u, v, math.Float64bits(got[v]), math.Float64bits(want[v]))
+					}
+				}
+			}
+		}
+		// Both routers share the clients; closing one closes them all.
+		for _, c := range clients {
+			c.Close()
+		}
+	}
+}
+
+// TestShardedSourceAllocs pins the in-process single-source path with a
+// caller-sized out: a small constant number of allocations (the
+// fragment and the fan-out bookkeeping) and no n-sized buffer.
+func TestShardedSourceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	g := testGraph(8000, 40000, 31)
+	ix := buildIndex(t, g)
+	n := g.NumNodes()
+	out := make([]float64, n)
+	// The fragment is four allocations (struct and three slices); the
+	// fan-out adds its error slice, closure and WaitGroup, plus one
+	// goroutine closure per extra shard.
+	for _, tc := range []struct{ shards, allocs int }{{1, 7}, {2, 9}} {
+		q := newSharded(t, ix, tc.shards, nil)
+		op := func() {
+			if _, err := q.SingleSource(bg, 11, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op()
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		allocs := testing.AllocsPerRun(100, op)
+		runtime.ReadMemStats(&b)
+		bytes := (b.TotalAlloc - a.TotalAlloc) / 101
+		t.Logf("shards=%d: %v allocs, %d bytes per op", tc.shards, allocs, bytes)
+		if int(allocs) != tc.allocs {
+			t.Errorf("shards=%d: %v allocs per op, want %d", tc.shards, allocs, tc.allocs)
+		}
+		if bytes >= uint64(8*n)/4 {
+			t.Errorf("shards=%d: %d bytes per op, a quarter of an n-sized buffer is %d", tc.shards, bytes, 8*n/4)
+		}
 	}
 }

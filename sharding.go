@@ -13,6 +13,7 @@ package sling
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 
 	"sling/internal/core"
@@ -42,6 +43,27 @@ func checkSlice(n, lo, hi int) error {
 	return nil
 }
 
+// checkSliceInto is checkSlice plus the destination length.
+func checkSliceInto(n, lo, hi int, dst []float64) error {
+	if err := checkSlice(n, lo, hi); err != nil {
+		return err
+	}
+	if len(dst) != hi-lo {
+		return fmt.Errorf("%w: %d-element destination for [%d,%d)", errSliceRange, len(dst), lo, hi)
+	}
+	return nil
+}
+
+// newSlice is SourceSlice for either backend: a fresh hi-lo vector
+// filled by the backend's SourceSliceInto.
+func newSlice(ctx context.Context, b ShardBackend, f *Fragment, lo, hi int) ([]float64, error) {
+	dst := make([]float64, max(hi-lo, 0))
+	if err := b.SourceSliceInto(ctx, f, lo, hi, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // ShardBackend is the query surface a shard exposes to a scatter/gather
 // router, beyond the ordinary Querier methods it also serves:
 //
@@ -50,6 +72,9 @@ func checkSlice(n, lo, hi int) error {
 //   - SourceSlice propagates a (possibly remote) fragment through the
 //     shard's full graph and returns the [lo, hi) slice of the score
 //     vector — the shard's share of a single-source answer.
+//   - SourceSliceInto is SourceSlice writing into the caller's dst
+//     (len hi-lo, overwritten in full) instead of a fresh slice, so an
+//     in-process router can fill its output vector in place.
 //   - TopSlice is SourceSlice followed by local top-k selection over
 //     [lo, hi) with the global ordering, so per-shard k-pruned lists
 //     merge losslessly.
@@ -59,6 +84,7 @@ type ShardBackend interface {
 	Querier
 	Fragment(ctx context.Context, u NodeID) (*Fragment, error)
 	SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]float64, error)
+	SourceSliceInto(ctx context.Context, f *Fragment, lo, hi int, dst []float64) error
 	TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error)
 }
 
@@ -93,13 +119,21 @@ func (ix *Index) Fragment(ctx context.Context, u NodeID) (*Fragment, error) {
 
 // SourceSlice implements ShardBackend over the in-memory index.
 func (ix *Index) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]float64, error) {
+	return newSlice(ctx, ix, f, lo, hi)
+}
+
+// SourceSliceInto implements ShardBackend over the in-memory index. The
+// propagation runs in pooled sparse scratch, so dst is the only O(hi-lo)
+// cost.
+func (ix *Index) SourceSliceInto(ctx context.Context, f *Fragment, lo, hi int, dst []float64) error {
 	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkSlice(ix.n, lo, hi); err != nil {
-		return nil, err
+	if err := checkSliceInto(ix.n, lo, hi, dst); err != nil {
+		return err
 	}
-	return ix.pool.SourceSlice(f.Keys, f.Vals, lo, hi), nil
+	ix.pool.SourceSlice(f.Keys, f.Vals, lo, hi, dst)
+	return nil
 }
 
 // TopSlice implements ShardBackend over the in-memory index.
@@ -131,13 +165,19 @@ func (di *DiskIndex) Fragment(ctx context.Context, u NodeID) (*Fragment, error) 
 // SourceSlice implements ShardBackend over the disk index; propagation
 // runs on the memory-resident metadata, so it costs no I/O.
 func (di *DiskIndex) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]float64, error) {
+	return newSlice(ctx, di, f, lo, hi)
+}
+
+// SourceSliceInto implements ShardBackend over the disk index.
+func (di *DiskIndex) SourceSliceInto(ctx context.Context, f *Fragment, lo, hi int, dst []float64) error {
 	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkSlice(di.n, lo, hi); err != nil {
-		return nil, err
+	if err := checkSliceInto(di.n, lo, hi, dst); err != nil {
+		return err
 	}
-	return di.pool.SourceSlice(f.Keys, f.Vals, lo, hi), nil
+	di.pool.SourceSlice(f.Keys, f.Vals, lo, hi, dst)
+	return nil
 }
 
 // TopSlice implements ShardBackend over the disk index.

@@ -820,3 +820,53 @@ func TestDiskIndexTopKAndBatchFacade(t *testing.T) {
 		t.Fatal("parameter accessors disagree with memory index")
 	}
 }
+
+// TestSourceSliceInto: on both shard backends, SourceSliceInto fully
+// overwrites a NaN-filled destination with the same bits SourceSlice
+// returns and SingleSource holds for the range, and malformed ranges or
+// destination lengths fail with the slice-range error instead of
+// panicking.
+func TestSourceSliceInto(t *testing.T) {
+	g := testGraph(60, 300, 41)
+	ix, di := diskTestIndex(t, g, 41, nil)
+	n := g.NumNodes()
+	for _, b := range []ShardBackend{ix, di} {
+		for _, u := range []NodeID{0, 17, 59} {
+			f, err := b.Fragment(bg, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := mustSource(t, b, u)
+			for _, r := range [][2]int{{0, n}, {0, 20}, {20, 45}, {45, n}, {30, 30}} {
+				lo, hi := r[0], r[1]
+				dst := make([]float64, hi-lo)
+				for i := range dst {
+					dst[i] = math.NaN()
+				}
+				if err := b.SourceSliceInto(bg, f, lo, hi, dst); err != nil {
+					t.Fatal(err)
+				}
+				got, err := b.SourceSlice(bg, f, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range dst {
+					want := math.Float64bits(full[lo+i])
+					if math.Float64bits(dst[i]) != want || math.Float64bits(got[i]) != want {
+						t.Fatalf("u=%d [%d,%d) node %d: Into %v, SourceSlice %v, want %v", u, lo, hi, lo+i, dst[i], got[i], full[lo+i])
+					}
+				}
+			}
+			for _, bad := range []struct {
+				lo, hi, dst int
+			}{{0, 10, 9}, {0, 10, 11}, {-1, 5, 6}, {5, n + 1, n - 4}, {10, 5, 0}} {
+				if err := b.SourceSliceInto(bg, f, bad.lo, bad.hi, make([]float64, bad.dst)); !errors.Is(err, errSliceRange) {
+					t.Fatalf("SourceSliceInto(%d,%d, len %d) = %v, want errSliceRange", bad.lo, bad.hi, bad.dst, err)
+				}
+			}
+			if _, err := b.SourceSlice(bg, f, 10, 5); !errors.Is(err, errSliceRange) {
+				t.Fatalf("SourceSlice(10,5) = %v, want errSliceRange", err)
+			}
+		}
+	}
+}
