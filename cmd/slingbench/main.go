@@ -882,17 +882,17 @@ type diskQPSRow struct {
 // allocsPerOp measures heap allocations per single-pair query on a warm
 // single-worker pass: the first run settles scratch-pool and cache
 // capacities, the second is bracketed by MemStats.Mallocs readings.
-func allocsPerOp(pool *core.DiskScratchPool, pairs []workload.Pair, ops int) (float64, error) {
+func allocsPerOp(d *core.DiskIndex, pool *core.ScratchPool, pairs []workload.Pair, ops int) (float64, error) {
 	warm := ops
 	if warm > 2048 {
 		warm = 2048
 	}
-	if _, _, err := diskPairRun(pool, pairs, warm, 1); err != nil {
+	if _, _, err := diskPairRun(d, pool, pairs, warm, 1); err != nil {
 		return 0, err
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if _, _, err := diskPairRun(pool, pairs, ops, 1); err != nil {
+	if _, _, err := diskPairRun(d, pool, pairs, ops, 1); err != nil {
 		return 0, err
 	}
 	runtime.ReadMemStats(&m1)
@@ -986,19 +986,19 @@ func runDiskQPS() error {
 			if cacheBytes > 0 {
 				d.EnableCache(cacheBytes)
 			}
-			pool := d.NewScratchPool()
+			pool := d.Meta().NewScratchPool()
 			// Warm the cache over the full query set before any timed
 			// cell, so every thread count measures the same steady state
 			// and the speedup column reflects concurrency, not the first
 			// cell paying the cold misses for the later ones.
 			if cacheBytes > 0 {
-				if _, _, err := diskPairRun(pool, pairs, len(pairs), 1); err != nil {
+				if _, _, err := diskPairRun(d, pool, pairs, len(pairs), 1); err != nil {
 					d.Close()
 					os.RemoveAll(dir)
 					return err
 				}
 			}
-			apo, err := allocsPerOp(pool, pairs, *diskOpsFlag)
+			apo, err := allocsPerOp(d, pool, pairs, *diskOpsFlag)
 			if err != nil {
 				d.Close()
 				os.RemoveAll(dir)
@@ -1007,7 +1007,7 @@ func runDiskQPS() error {
 			var serial time.Duration
 			for _, th := range threads {
 				before := d.CacheStats()
-				total, elapsed, err := diskPairRun(pool, pairs, *diskOpsFlag, th)
+				total, elapsed, err := diskPairRun(d, pool, pairs, *diskOpsFlag, th)
 				if err != nil {
 					d.Close()
 					os.RemoveAll(dir)
@@ -1311,41 +1311,22 @@ func runQuerier() error {
 }
 
 // diskPairRun fires count single-pair disk queries across workers
-// goroutines pulling from a shared atomic counter, and returns how many
-// ran and the wall time.
-func diskPairRun(pool *core.DiskScratchPool, pairs []workload.Pair, count, workers int) (int, time.Duration, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var firstErr atomic.Pointer[error]
+// goroutines (core.ForEach), each query drawing its scratch from pool
+// as the serving layer does, and returns how many ran and the wall time.
+func diskPairRun(d *core.DiskIndex, pool *core.ScratchPool, pairs []workload.Pair, count, workers int) (int, time.Duration, error) {
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
-				p := pairs[i%len(pairs)]
-				if _, err := pool.SimRank(p.U, p.V); err != nil {
-					// Copy before taking the address: &err on the loop
-					// variable would heap-allocate it every iteration,
-					// polluting the allocs/op this benchmark reports.
-					e := err
-					firstErr.CompareAndSwap(nil, &e)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	err := core.ForEach(context.Background(), count, workers, func() func(int) error {
+		return func(i int) error {
+			p := pairs[i%len(pairs)]
+			s := pool.Scratch()
+			_, err := d.SimRank(p.U, p.V, s)
+			pool.PutScratch(s)
+			return err
+		}
+	})
 	elapsed := time.Since(start)
-	if ep := firstErr.Load(); ep != nil {
-		return 0, 0, *ep
+	if err != nil {
+		return 0, 0, err
 	}
 	return count, elapsed, nil
 }

@@ -2,8 +2,9 @@
 // early return.
 //
 // Invariant: query scratch comes from sync.Pools (core.ScratchPool,
-// core.DiskScratchPool, the dynamic layer's estimator pool) so that
-// serving runs at arbitrary concurrency without per-call allocation.
+// which the in-memory and disk indexes share, and the dynamic layer's
+// estimator pool) so that serving runs at arbitrary concurrency without
+// per-call allocation.
 // A Get without a guaranteed Put does not crash — sync.Pool tolerates
 // losses — but it silently re-allocates scratch on exactly the paths
 // that are hardest to exercise (the error returns PR 5 threaded through
@@ -199,7 +200,7 @@ func classify(info *types.Info, call *ast.CallExpr) (event, bool) {
 
 // poolReceiver reports whether the method receiver is one of the pool
 // types the pairing discipline applies to. sync.Pool pairs Get/Put;
-// the scratch pools pair their named getter/putter sets.
+// core.ScratchPool pairs its named getter/putter sets.
 func poolReceiver(t types.Type, method string) bool {
 	for {
 		if p, ok := t.(*types.Pointer); ok {
@@ -220,7 +221,7 @@ func poolReceiver(t types.Type, method string) bool {
 	switch {
 	case pkg == "sync" && obj.Name() == "Pool":
 		return method == "Get" || method == "Put"
-	case obj.Name() == "ScratchPool" || obj.Name() == "DiskScratchPool":
+	case obj.Name() == "ScratchPool":
 		return method != "Get" && method != "Put"
 	}
 	return false

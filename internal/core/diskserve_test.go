@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"sync"
 	"testing"
@@ -107,66 +110,84 @@ func TestEntryCacheBudgetEdgeCases(t *testing.T) {
 	}
 }
 
-// Disk answers — single-pair, single-source, top-k, source-top, batch —
-// must be byte-identical to the in-memory index, cached or not.
+// Disk answers — single-pair, single-source, top-k, source-top, batch,
+// and the shard shapes (fragment, source slice, top slice) — must be
+// byte-identical to the in-memory index under every fetch mode: ReadAt
+// without and with the entry cache, and mmap.
 func TestDiskServeMatchesMemory(t *testing.T) {
 	g := randomGraph(60, 360, 31)
 	x, path := saveTestIndex(t, g, &Options{Eps: 0.08, Seed: 31, Enhance: true})
-	for _, cacheBytes := range []int64{0, 1 << 20} {
-		d, err := OpenDiskIndex(path, g)
+	modes := []string{"readat", "readat+cache"}
+	if MmapSupported() {
+		modes = append(modes, "mmap")
+	}
+	xpool := x.NewScratchPool()
+	for _, mode := range modes {
+		var d *DiskIndex
+		var err error
+		if mode == "mmap" {
+			d, err = OpenDiskIndexMmap(path, g)
+		} else {
+			d, err = OpenDiskIndex(path, g)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cacheBytes > 0 {
-			d.EnableCache(cacheBytes)
+		if mode == "readat+cache" {
+			d.EnableCache(1 << 20)
 		}
-		pool := d.NewScratchPool()
+		pool := d.Meta().NewScratchPool()
+		s, dss := d.Meta().NewScratch(), d.Meta().NewSourceScratch()
 		ss := x.NewSourceScratch()
 		for u := graph.NodeID(0); u < 60; u += 7 {
 			for v := graph.NodeID(0); v < 60; v += 5 {
-				got, err := pool.SimRank(u, v)
+				got, err := d.SimRank(u, v, s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := x.SimRank(u, v, nil); got != want {
-					t.Fatalf("cache=%d: disk s(%d,%d)=%v, memory %v", cacheBytes, u, v, got, want)
+					t.Fatalf("%s: disk s(%d,%d)=%v, memory %v", mode, u, v, got, want)
 				}
 			}
 			wantVec := x.SingleSource(u, ss, nil)
-			gotVec, err := pool.SingleSource(u, nil)
+			gotVec, err := d.SingleSource(u, dss, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range wantVec {
-				if gotVec[v] != wantVec[v] {
-					t.Fatalf("cache=%d: disk single-source differs at %d", cacheBytes, v)
-				}
-			}
-			gotTop, err := pool.TopK(u, 7)
+			sameBits(t, mode+" SingleSource", gotVec, wantVec)
+			gotTop, err := d.TopK(u, 7, dss)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTop := x.TopK(u, 7, ss, nil)
-			if len(gotTop) != len(wantTop) {
-				t.Fatalf("TopK length %d vs %d", len(gotTop), len(wantTop))
-			}
-			for i := range gotTop {
-				if gotTop[i] != wantTop[i] {
-					t.Fatalf("TopK entry %d differs", i)
-				}
-			}
-			gotSrc, err := pool.SourceTop(u, 5)
+			sameTop(t, mode+" TopK", gotTop, x.TopK(u, 7, ss, nil))
+			gotSrc, err := d.SourceTop(u, 5, dss)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSrc := SelectTop(wantVec, 5, -1)
-			if len(gotSrc) != len(wantSrc) {
-				t.Fatalf("SourceTop length %d vs %d", len(gotSrc), len(wantSrc))
+			sameTop(t, mode+" SourceTop", gotSrc, SelectTop(wantVec, 5, -1))
+
+			keys, vals, dvals, err := d.FragmentOf(u, s)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range gotSrc {
-				if gotSrc[i] != wantSrc[i] {
-					t.Fatalf("SourceTop entry %d differs", i)
+			wk, wv, wd := x.FragmentOf(u, nil)
+			if len(keys) != len(wk) {
+				t.Fatalf("%s: fragment of %d has %d entries, memory %d", mode, u, len(keys), len(wk))
+			}
+			for i := range wk {
+				if keys[i] != wk[i] {
+					t.Fatalf("%s: fragment of %d differs at key %d", mode, u, i)
 				}
+			}
+			sameBits(t, mode+" fragment vals", vals, wv)
+			sameBits(t, mode+" fragment dvals", dvals, wd)
+			for _, r := range [][2]int{{0, 20}, {20, 60}} {
+				lo, hi := r[0], r[1]
+				got, want := make([]float64, hi-lo), make([]float64, hi-lo)
+				pool.SourceSlice(keys, vals, lo, hi, got)
+				xpool.SourceSlice(wk, wv, lo, hi, want)
+				sameBits(t, mode+" SourceSlice", got, want)
+				sameTop(t, mode+" TopSlice", pool.TopSlice(keys, vals, 4, u, lo, hi), xpool.TopSlice(wk, wv, 4, u, lo, hi))
 			}
 		}
 		us := []graph.NodeID{3, 1, 4, 1, 5, 9, 2, 6}
@@ -176,15 +197,50 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, u := range us {
-				want := x.SingleSource(u, ss, nil)
-				for v := range want {
-					if rows[i][v] != want[v] {
-						t.Fatalf("batch(workers=%d) row %d differs at %d", workers, i, v)
-					}
-				}
+				sameBits(t, mode+" batch row", rows[i], x.SingleSource(u, ss, nil))
 			}
 		}
 		d.Close()
+	}
+}
+
+// TestDiskReadErrorsAtQueryTime: when positioned reads fail after open
+// (here the file is truncated to the start of its entries regions),
+// every disk query shape returns an error wrapping the read failure and
+// a nil result, at any batch worker count, and nothing panics.
+func TestDiskReadErrorsAtQueryTime(t *testing.T) {
+	g := randomGraph(30, 150, 3)
+	_, path := saveTestIndex(t, g, &Options{Eps: 0.1, Seed: 3, Enhance: true})
+	d, err := OpenDiskIndex(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := os.Truncate(path, d.entriesOff); err != nil {
+		t.Fatal(err)
+	}
+	check := func(shape string, err error, isNil bool) {
+		t.Helper()
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: err = %v, want a wrapped io.EOF", shape, err)
+		}
+		if !isNil {
+			t.Fatalf("%s: non-nil result alongside %v", shape, err)
+		}
+	}
+	score, err := d.SimRank(3, 17, nil)
+	check("SimRank", err, score == 0)
+	vec, err := d.SingleSource(3, nil, nil)
+	check("SingleSource", err, vec == nil)
+	top, err := d.TopK(3, 5, nil)
+	check("TopK", err, top == nil)
+	top, err = d.SourceTop(3, 5, nil)
+	check("SourceTop", err, top == nil)
+	keys, vals, dvals, err := d.FragmentOf(3, nil)
+	check("FragmentOf", err, keys == nil && vals == nil && dvals == nil)
+	for _, workers := range []int{1, 4} {
+		rows, err := d.SingleSourceBatch(nil, []graph.NodeID{3, 1, 4, 1, 5}, workers)
+		check(fmt.Sprintf("SingleSourceBatch(workers=%d)", workers), err, rows == nil)
 	}
 }
 
@@ -203,15 +259,15 @@ func TestDiskCacheHitEquivalence(t *testing.T) {
 	}
 	defer cached.Close()
 	cached.EnableCache(4 << 20)
-	ps, cs := plain.NewScratchPool(), cached.NewScratchPool()
+	ps, cs := plain.Meta().NewScratch(), cached.Meta().NewScratch()
 	for pass := 0; pass < 2; pass++ {
 		for u := graph.NodeID(0); u < 50; u += 3 {
 			for v := graph.NodeID(0); v < 50; v += 7 {
-				want, err := ps.SimRank(u, v)
+				want, err := plain.SimRank(u, v, ps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := cs.SimRank(u, v)
+				got, err := cached.SimRank(u, v, cs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,8 +289,8 @@ func TestDiskCacheHitEquivalence(t *testing.T) {
 	}
 }
 
-// Concurrent mixed queries through one shared pool must match memory
-// exactly (run under -race in CI).
+// Concurrent mixed disk queries drawing scratch from the meta index's
+// shared ScratchPool must match memory exactly (run under -race in CI).
 func TestDiskScratchPoolConcurrent(t *testing.T) {
 	g := randomGraph(50, 300, 35)
 	x, path := saveTestIndex(t, g, &Options{Eps: 0.08, Seed: 35, Enhance: true})
@@ -244,7 +300,22 @@ func TestDiskScratchPoolConcurrent(t *testing.T) {
 	}
 	defer d.Close()
 	d.EnableCache(1 << 20)
-	pool := d.NewScratchPool()
+	pool := d.Meta().NewScratchPool()
+	simRank := func(u, v graph.NodeID) (float64, error) {
+		s := pool.Scratch()
+		defer pool.PutScratch(s)
+		return d.SimRank(u, v, s)
+	}
+	singleSource := func(u graph.NodeID) ([]float64, error) {
+		ss := pool.Source()
+		defer pool.PutSource(ss)
+		return d.SingleSource(u, ss, nil)
+	}
+	topK := func(u graph.NodeID, k int) ([]TopEntry, error) {
+		ss := pool.Source()
+		defer pool.PutSource(ss)
+		return d.TopK(u, k, ss)
+	}
 	ss := x.NewSourceScratch()
 	wantPair := x.SimRank(3, 9, nil)
 	wantVec := append([]float64(nil), x.SingleSource(7, ss, nil)...)
@@ -256,12 +327,12 @@ func TestDiskScratchPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				got, err := pool.SimRank(3, 9)
+				got, err := simRank(3, 9)
 				if err != nil || got != wantPair {
 					errs <- "disk SimRank drift under concurrency"
 					return
 				}
-				vec, err := pool.SingleSource(7, nil)
+				vec, err := singleSource(7)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -272,7 +343,7 @@ func TestDiskScratchPoolConcurrent(t *testing.T) {
 						return
 					}
 				}
-				top, err := pool.TopK(5, 6)
+				top, err := topK(5, 6)
 				if err != nil || len(top) != len(wantTop) {
 					errs <- "disk TopK drift under concurrency"
 					return

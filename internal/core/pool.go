@@ -10,7 +10,8 @@ import (
 // SourceScratch, n-length score vectors) from sync.Pools, so a serving
 // layer can run queries at arbitrary concurrency without allocating
 // scratch per call. All buffers are sized for the pool's index; a buffer
-// returned with Put may be handed to any later Get on any goroutine.
+// returned with Put may be handed to any later Get on any goroutine. A
+// DiskIndex takes the same scratch, so its Meta index's pool serves it.
 //
 // The pool only manages buffer lifetime — queries through it are exactly
 // as deterministic as the underlying Index methods.

@@ -12,8 +12,10 @@ import (
 // entries into H*(v)).
 
 // Scratch holds per-query buffers so queries do not allocate. Each
-// goroutine querying an Index concurrently needs its own Scratch.
+// goroutine querying an Index or a DiskIndex concurrently needs its own
+// Scratch; both draw it from the same ScratchPool.
 type Scratch struct {
+	// Gathered entry lists of the two query endpoints.
 	ka, kb []uint64
 	va, vb []float64
 
@@ -24,6 +26,13 @@ type Scratch struct {
 
 	addKeys []uint64
 	addVals []float64
+
+	// Disk queries only: the raw bytes of one positioned read and the
+	// decoded stored entries of the two endpoints. Memory queries read
+	// stored entries from the index columns and leave these empty.
+	raw      []byte
+	fka, fkb []uint64
+	fva, fvb []float64
 }
 
 // NewScratch sizes a Scratch for the index's graph.

@@ -249,7 +249,7 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 	}
 	defer di.Close()
 	ms := x.NewScratch()
-	ds := di.NewScratch()
+	ds := di.Meta().NewScratch()
 	for i := graph.NodeID(0); i < 50; i++ {
 		for j := graph.NodeID(0); j < 50; j += 7 {
 			want := x.SimRank(i, j, ms)
@@ -329,10 +329,10 @@ func TestDiskIndexSingleSource(t *testing.T) {
 	}
 	defer di.Close()
 	ss := x.NewSourceScratch()
-	ds := di.NewScratch()
+	ds := di.Meta().NewSourceScratch()
 	for _, u := range []graph.NodeID{0, 19, 39} {
 		want := x.SingleSource(u, ss, nil)
-		got, err := di.SingleSource(u, ds, nil, nil)
+		got, err := di.SingleSource(u, ds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

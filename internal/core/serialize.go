@@ -544,104 +544,3 @@ func (d *DiskIndex) EnableCache(maxBytes int64) {
 // CacheStats reports entry-cache hit/miss/occupancy counters (zero
 // values when no cache is enabled).
 func (d *DiskIndex) CacheStats() CacheStats { return d.cache.Stats() }
-
-// DiskScratch holds per-query buffers for DiskIndex queries.
-type DiskScratch struct {
-	q        *Scratch
-	raw      []byte
-	ka, kb   []uint64
-	va, vb   []float64
-	gka, gkb []uint64
-	gva, gvb []float64
-}
-
-// NewScratch sizes a DiskScratch.
-func (d *DiskIndex) NewScratch() *DiskScratch {
-	return &DiskScratch{q: d.meta.NewScratch()}
-}
-
-// fetch returns node v's stored entries. In mapped mode it slices the
-// typed views directly — zero copies, zero allocations. Otherwise it
-// reads the keys and vals ranges from disk into the given buffers,
-// consulting (and on miss, populating) the entry cache when one is
-// enabled. All paths hand the caller a read-only view.
-func (d *DiskIndex) fetch(v graph.NodeID, s *DiskScratch, keys *[]uint64, vals *[]float64) ([]uint64, []float64, error) {
-	lo, hi := d.meta.off[v], d.meta.off[v+1]
-	if d.mapped {
-		return d.mkeys[lo:hi], d.mvals[lo:hi], nil
-	}
-	if d.cache != nil {
-		if k, val, ok := d.cache.Get(int32(v)); ok {
-			return k, val, nil
-		}
-	}
-	cnt := int(hi - lo)
-	need := cnt * 16
-	if cap(s.raw) < need {
-		s.raw = make([]byte, need)
-	}
-	raw := s.raw[:need]
-	if _, err := d.f.ReadAt(raw[:8*cnt], d.entriesOff+lo*8); err != nil {
-		return nil, nil, fmt.Errorf("core: disk index key read for node %d: %w", v, err)
-	}
-	if _, err := d.f.ReadAt(raw[8*cnt:], d.valsOff+lo*8); err != nil {
-		return nil, nil, fmt.Errorf("core: disk index value read for node %d: %w", v, err)
-	}
-	k, val := (*keys)[:0], (*vals)[:0]
-	le := binary.LittleEndian
-	for i := 0; i < cnt; i++ {
-		k = append(k, le.Uint64(raw[8*i:]))
-	}
-	for i := 0; i < cnt; i++ {
-		val = append(val, math.Float64frombits(le.Uint64(raw[8*cnt+8*i:])))
-	}
-	*keys, *vals = k, val
-	if d.cache != nil {
-		d.cache.Put(int32(v), k, val)
-	}
-	return k, val, nil
-}
-
-// SingleSource answers a single-source query from disk: one positioned
-// read fetches H(u), then the Algorithm 6 propagation runs as in memory
-// (it needs only the graph and the memory-resident d̃ values).
-func (d *DiskIndex) SingleSource(u graph.NodeID, s *DiskScratch, ss *SourceScratch, out []float64) ([]float64, error) {
-	keys, vals, err := d.gathered(u, s)
-	if err != nil {
-		return nil, err
-	}
-	return d.meta.SingleSourceFrom(keys, vals, ss, out), nil
-}
-
-// gathered fetches H(u) and applies the gather transformations, returning
-// u's effective entry list in s's buffers. A nil scratch allocates one.
-func (d *DiskIndex) gathered(u graph.NodeID, s *DiskScratch) ([]uint64, []float64, error) {
-	if s == nil {
-		s = d.NewScratch()
-	}
-	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
-	if err != nil {
-		return nil, nil, err
-	}
-	keys, vals := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
-	return keys, vals, nil
-}
-
-// SimRank answers a single-pair query with two positioned reads (or two
-// zero-copy view slices in mapped mode).
-func (d *DiskIndex) SimRank(u, v graph.NodeID, s *DiskScratch) (float64, error) {
-	if s == nil {
-		s = d.NewScratch()
-	}
-	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
-	if err != nil {
-		return 0, err
-	}
-	gku, gvu := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
-	kv, vv, err := d.fetch(v, s, &s.kb, &s.vb)
-	if err != nil {
-		return 0, err
-	}
-	gkv, gvv := d.meta.gatherFrom(v, kv, vv, s.q, &s.gkb, &s.gvb)
-	return joinScore(gku, gvu, gkv, gvv, d.meta.d), nil
-}

@@ -233,7 +233,7 @@ func TestMmapMatchesReadAt(t *testing.T) {
 	if !dm.Mapped() || dr.Mapped() {
 		t.Fatalf("Mapped() = %v/%v, want true for mmap and false for ReadAt", dm.Mapped(), dr.Mapped())
 	}
-	sr, sm := dr.NewScratch(), dm.NewScratch()
+	sr, sm := dr.Meta().NewScratch(), dm.Meta().NewScratch()
 	n := g.NumNodes()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v += 3 {
@@ -266,7 +266,7 @@ func TestMmapFetchZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := d.NewScratch()
+	s := d.Meta().NewScratch()
 	if _, err := d.SimRank(3, 17, s); err != nil { // warm scratch capacities
 		t.Fatal(err)
 	}

@@ -39,18 +39,6 @@ func (x *Index) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dva
 	return copyFragment(k, v, x.d)
 }
 
-// FragmentOf is Index.FragmentOf over disk-resident entries: one
-// positioned read (or a zero-copy view slice) plus the same gather
-// transformations.
-func (d *DiskIndex) FragmentOf(u graph.NodeID, s *DiskScratch) (keys []uint64, vals, dvals []float64, err error) {
-	gk, gv, err := d.gathered(u, s)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	keys, vals, dvals = copyFragment(gk, gv, d.meta.d)
-	return keys, vals, dvals, nil
-}
-
 func copyFragment(k []uint64, v []float64, d []float64) ([]uint64, []float64, []float64) {
 	keys := append([]uint64(nil), k...)
 	vals := append([]float64(nil), v...)
@@ -171,29 +159,4 @@ func (x *Index) sourceSlice(keys []uint64, vals []float64, s *SourceScratch, lo,
 	clear(dst)
 	x.propagate(keys, vals, s)
 	s.scatter(dst, lo, hi)
-}
-
-// Fragment is DiskScratchPool.Fragment: FragmentOf with pooled scratch.
-func (p *DiskScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []float64, err error) {
-	s := p.scratch.Get().(*DiskScratch)
-	keys, vals, dvals, err = p.d.FragmentOf(u, s)
-	p.scratch.Put(s)
-	return keys, vals, dvals, err
-}
-
-// SourceSlice is ScratchPool.SourceSlice for the disk index: propagation
-// uses only the memory-resident metadata, so no I/O occurs.
-func (p *DiskScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int, dst []float64) {
-	ss := p.source.Get().(*SourceScratch)
-	p.d.meta.sourceSlice(keys, vals, ss, lo, hi, dst)
-	p.source.Put(ss)
-}
-
-// TopSlice is ScratchPool.TopSlice for the disk index.
-func (p *DiskScratchPool) TopSlice(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
-	ss := p.source.Get().(*SourceScratch)
-	p.d.meta.propagate(keys, vals, ss)
-	top := ss.top(k, skip, lo, hi)
-	p.source.Put(ss)
-	return top
 }

@@ -208,61 +208,69 @@ func CtxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// forEachSource runs fn(i, scratch) for every i in [0, count), fanned
-// across workers goroutines (Options.Workers when workers <= 0), each
-// with its own SourceScratch. Sources are handed out from a shared atomic
-// counter so stragglers don't idle a worker. Each call of fn is
-// independent, so the results are identical at any worker count.
+// ForEach calls fn(i) for every i in [0, count), fanned across at most
+// workers goroutines (workers <= 1 runs on the calling goroutine). It is
+// the one batch fan-out of the query stack: the in-memory, disk and
+// dynamic batches all run on it. worker is called once per goroutine and
+// returns that goroutine's fn, so per-worker state such as scratch is
+// set up there. Items are claimed from a shared atomic counter so
+// stragglers don't idle a worker; each item is independent, so results
+// are identical at any worker count.
 //
-// ctx is observed between per-source units: once it is cancelled no new
-// source starts (in-flight sources finish) and ctx.Err() is returned, so
-// an abandoned batch stops burning CPU at source granularity. A ctx
-// cancelled only after the last source was claimed does not fail the
-// batch — completed work is returned, not discarded.
-func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i int, s *SourceScratch)) error {
-	if workers <= 0 {
-		workers = x.prm.workers
-	}
-	if workers > count {
-		workers = count
-	}
+// ctx (nil means never cancelled) is checked after an item is claimed
+// and before it runs: once it is cancelled no new item starts (in-flight
+// items finish) and ctx.Err() is returned, so an abandoned batch stops
+// burning CPU at item granularity. A ctx cancelled only after the last
+// item was claimed does not fail the batch — completed work is
+// returned, not discarded. The first error an item returns stops the
+// batch the same way and is returned.
+func ForEach(ctx context.Context, count, workers int, worker func() func(i int) error) error {
+	workers = min(workers, count)
 	if workers <= 1 {
-		s := x.NewSourceScratch()
+		fn := worker()
 		for i := 0; i < count; i++ {
 			if err := CtxErr(ctx); err != nil {
 				return err
 			}
-			fn(i, s)
+			if err := fn(i); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
 	var next atomic.Int64
-	var aborted atomic.Bool
+	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := x.NewSourceScratch()
-			for {
+			fn := worker()
+			for firstErr.Load() == nil {
 				// Claim before checking ctx: a worker that finds the work
 				// exhausted returns cleanly, so a ctx cancelled after the
-				// last source leaves a fully-computed batch intact.
+				// last item leaves a fully-computed batch intact.
 				i := int(next.Add(1)) - 1
 				if i >= count {
 					return
 				}
-				if CtxErr(ctx) != nil {
-					aborted.Store(true)
+				err := CtxErr(ctx)
+				if err == nil {
+					err = fn(i)
+				}
+				if err != nil {
+					// Copied before its address is taken, so the happy
+					// path never heap-allocates an error variable.
+					e := err
+					firstErr.CompareAndSwap(nil, &e)
 					return
 				}
-				fn(i, s)
 			}
 		}()
 	}
 	wg.Wait()
-	if aborted.Load() {
-		return CtxErr(ctx)
+	if ep := firstErr.Load(); ep != nil {
+		return *ep
 	}
 	return nil
 }
@@ -275,9 +283,16 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 // ctx (nil means never) stops the fan-out between sources and returns
 // ctx.Err().
 func (x *Index) SingleSourceBatch(ctx context.Context, us []graph.NodeID, workers int) ([][]float64, error) {
+	if workers <= 0 {
+		workers = x.prm.workers
+	}
 	out := make([][]float64, len(us))
-	if err := x.forEachSource(ctx, len(us), workers, func(i int, s *SourceScratch) {
-		out[i] = x.SingleSource(us[i], s, nil)
+	if err := ForEach(ctx, len(us), workers, func() func(int) error {
+		s := x.NewSourceScratch()
+		return func(i int) error {
+			out[i] = x.SingleSource(us[i], s, nil)
+			return nil
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -292,8 +307,12 @@ func (x *Index) SingleSourceBatch(ctx context.Context, us []graph.NodeID, worker
 func (x *Index) AllPairs(ctx context.Context) (*power.Scores, error) {
 	n := x.g.NumNodes()
 	s := &power.Scores{N: n, Data: make([]float64, n*n)}
-	if err := x.forEachSource(ctx, n, 0, func(u int, ss *SourceScratch) {
-		x.SingleSource(graph.NodeID(u), ss, s.Data[u*n:(u+1)*n])
+	if err := ForEach(ctx, n, x.prm.workers, func() func(int) error {
+		ss := x.NewSourceScratch()
+		return func(u int) error {
+			x.SingleSource(graph.NodeID(u), ss, s.Data[u*n:(u+1)*n])
+			return nil
+		}
 	}); err != nil {
 		return nil, err
 	}

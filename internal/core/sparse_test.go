@@ -131,8 +131,7 @@ func TestSparseSourceMatchesDense(t *testing.T) {
 			dm := openMapped(t, path, g)
 			n := g.NumNodes()
 			cuts := []int{0, n / 3, 2 * n / 3, n}
-			ss, pool, dpool := x.NewSourceScratch(), x.NewScratchPool(), dm.NewScratchPool()
-			ds := dm.NewScratch()
+			ss, pool, dpool := x.NewSourceScratch(), x.NewScratchPool(), dm.Meta().NewScratchPool()
 			for u := graph.NodeID(0); int(u) < n; u += graph.NodeID(stride) {
 				name := func(op string) string {
 					return fam.Name + "/enhance=" + map[bool]string{false: "0", true: "1"}[enhance] + "/" + op
@@ -140,7 +139,7 @@ func TestSparseSourceMatchesDense(t *testing.T) {
 				want := denseSingleSource(x, u)
 				sameBits(t, name("SingleSource"), x.SingleSource(u, ss, nanVec(n)), want)
 				checkClean(t, name("SingleSource"), ss)
-				got, err := dm.SingleSource(u, ds, ss, nanVec(n))
+				got, err := dm.SingleSource(u, ss, nanVec(n))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,12 +150,12 @@ func TestSparseSourceMatchesDense(t *testing.T) {
 					checkClean(t, name("TopK/SourceTop"), ss)
 					sameTop(t, name("pool TopK"), pool.TopK(u, k), SelectTop(want, k, u))
 					sameTop(t, name("pool SourceTop"), pool.SourceTop(u, k), SelectTop(want, k, -1))
-					top, err := dm.TopK(u, k, ds, ss)
+					top, err := dm.TopK(u, k, ss)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameTop(t, name("mmap TopK"), top, SelectTop(want, k, u))
-					top, err = dm.SourceTop(u, k, ds, ss)
+					top, err = dm.SourceTop(u, k, ss)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -225,7 +224,7 @@ func TestSparseTopAllocs(t *testing.T) {
 	g := randomGraph(200, 1200, 3)
 	x, path := saveTestIndex(t, g, &Options{Eps: 0.05, Seed: 3})
 	dm := openMapped(t, path, g)
-	pool, dpool := x.NewScratchPool(), dm.NewScratchPool()
+	pool, dpool := x.NewScratchPool(), dm.Meta().NewScratchPool()
 	if top := pool.TopK(7, 10); len(top) == 0 {
 		t.Fatal("node 7 has no similar nodes; pick another source")
 	}
@@ -233,7 +232,9 @@ func TestSparseTopAllocs(t *testing.T) {
 		t.Fatalf("pooled Index.TopK allocates %v times per op, want 1", a)
 	}
 	if a := testing.AllocsPerRun(200, func() {
-		if _, err := dpool.TopK(7, 10); err != nil {
+		ss := dpool.Source()
+		defer dpool.PutSource(ss)
+		if _, err := dm.TopK(7, 10, ss); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 1 {

@@ -15,6 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+
+	"sling/internal/core"
 )
 
 // ErrNodeRange is returned (wrapped, with the offending node and the
@@ -89,21 +92,16 @@ var (
 	_ Querier = (*DynamicIndex)(nil)
 )
 
-// checkNode validates one node ID against a graph of n nodes.
-func checkNode(n int, u NodeID) error {
-	if u < 0 || int(u) >= n {
-		return fmt.Errorf("%w: node %d not in [0,%d)", ErrNodeRange, u, n)
+// guard is the preamble every query method of *Index, *DiskIndex and
+// *DynamicIndex shares: a cancelled ctx is reported first, then each
+// node ID is validated against [0, n), so a bad source fails a batch
+// before any work runs.
+func guard(ctx context.Context, n int, us ...NodeID) error {
+	if err := core.CtxErr(ctx); err != nil {
+		return err
 	}
-	return nil
-}
-
-// checkNodes validates a batch of node IDs before any work runs, so a
-// bad source fails the batch up front instead of mid-fan-out.
-func checkNodes(n int, us []NodeID) error {
-	for _, u := range us {
-		if err := checkNode(n, u); err != nil {
-			return err
-		}
+	if i := slices.IndexFunc(us, func(u NodeID) bool { return u < 0 || int(u) >= n }); i >= 0 {
+		return fmt.Errorf("%w: node %d not in [0,%d)", ErrNodeRange, us[i], n)
 	}
 	return nil
 }

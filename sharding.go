@@ -36,20 +36,14 @@ type Fragment struct {
 // IDs, so it is distinct from ErrNodeRange.
 var errSliceRange = errors.New("sling: shard slice range out of bounds")
 
-func checkSlice(n, lo, hi int) error {
-	if lo < 0 || hi > n || lo > hi {
-		return errSliceRange
-	}
-	return nil
-}
-
-// checkSliceInto is checkSlice plus the destination length.
-func checkSliceInto(n, lo, hi int, dst []float64) error {
-	if err := checkSlice(n, lo, hi); err != nil {
+// guardSlice is guard for the slice-range methods: ctx, then lo and hi
+// against [0, n].
+func guardSlice(ctx context.Context, n, lo, hi int) error {
+	if err := guard(ctx, n); err != nil {
 		return err
 	}
-	if len(dst) != hi-lo {
-		return fmt.Errorf("%w: %d-element destination for [%d,%d)", errSliceRange, len(dst), lo, hi)
+	if lo < 0 || hi > n || lo > hi {
+		return errSliceRange
 	}
 	return nil
 }
@@ -62,6 +56,29 @@ func newSlice(ctx context.Context, b ShardBackend, f *Fragment, lo, hi int) ([]f
 		return nil, err
 	}
 	return dst, nil
+}
+
+// sourceSliceInto is SourceSliceInto for either backend. Propagation
+// reads only the memory-resident metadata, so the in-memory and the
+// disk index run it identically on their ScratchPool, with no I/O; dst
+// is the only O(hi-lo) cost.
+func sourceSliceInto(ctx context.Context, p *core.ScratchPool, n int, f *Fragment, lo, hi int, dst []float64) error {
+	if err := guardSlice(ctx, n, lo, hi); err != nil {
+		return err
+	}
+	if len(dst) != hi-lo {
+		return fmt.Errorf("%w: %d-element destination for [%d,%d)", errSliceRange, len(dst), lo, hi)
+	}
+	p.SourceSlice(f.Keys, f.Vals, lo, hi, dst)
+	return nil
+}
+
+// topSlice is TopSlice for either backend, like sourceSliceInto.
+func topSlice(ctx context.Context, p *core.ScratchPool, n int, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error) {
+	if err := guardSlice(ctx, n, lo, hi); err != nil {
+		return nil, err
+	}
+	return p.TopSlice(f.Keys, f.Vals, k, skip, lo, hi), nil
 }
 
 // ShardBackend is the query surface a shard exposes to a scatter/gather
@@ -107,10 +124,7 @@ func (ix *Index) EntryBytes() []int64 { return ix.x.EntryBytes() }
 
 // Fragment implements ShardBackend over the in-memory index.
 func (ix *Index) Fragment(ctx context.Context, u NodeID) (*Fragment, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := guard(ctx, ix.n, u); err != nil {
 		return nil, err
 	}
 	keys, vals, dvals := ix.pool.Fragment(u)
@@ -126,36 +140,22 @@ func (ix *Index) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]fl
 // propagation runs in pooled sparse scratch, so dst is the only O(hi-lo)
 // cost.
 func (ix *Index) SourceSliceInto(ctx context.Context, f *Fragment, lo, hi int, dst []float64) error {
-	if err := core.CtxErr(ctx); err != nil {
-		return err
-	}
-	if err := checkSliceInto(ix.n, lo, hi, dst); err != nil {
-		return err
-	}
-	ix.pool.SourceSlice(f.Keys, f.Vals, lo, hi, dst)
-	return nil
+	return sourceSliceInto(ctx, ix.pool, ix.n, f, lo, hi, dst)
 }
 
 // TopSlice implements ShardBackend over the in-memory index.
 func (ix *Index) TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkSlice(ix.n, lo, hi); err != nil {
-		return nil, err
-	}
-	return ix.pool.TopSlice(f.Keys, f.Vals, k, skip, lo, hi), nil
+	return topSlice(ctx, ix.pool, ix.n, f, k, skip, lo, hi)
 }
 
 // Fragment implements ShardBackend over the disk index.
 func (di *DiskIndex) Fragment(ctx context.Context, u NodeID) (*Fragment, error) {
-	if err := core.CtxErr(ctx); err != nil {
+	if err := guard(ctx, di.n, u); err != nil {
 		return nil, err
 	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	keys, vals, dvals, err := di.pool.Fragment(u)
+	s := di.pool.Scratch()
+	defer di.pool.PutScratch(s)
+	keys, vals, dvals, err := di.d.FragmentOf(u, s)
 	if err != nil {
 		return nil, err
 	}
@@ -170,25 +170,12 @@ func (di *DiskIndex) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) (
 
 // SourceSliceInto implements ShardBackend over the disk index.
 func (di *DiskIndex) SourceSliceInto(ctx context.Context, f *Fragment, lo, hi int, dst []float64) error {
-	if err := core.CtxErr(ctx); err != nil {
-		return err
-	}
-	if err := checkSliceInto(di.n, lo, hi, dst); err != nil {
-		return err
-	}
-	di.pool.SourceSlice(f.Keys, f.Vals, lo, hi, dst)
-	return nil
+	return sourceSliceInto(ctx, di.pool, di.n, f, lo, hi, dst)
 }
 
 // TopSlice implements ShardBackend over the disk index.
 func (di *DiskIndex) TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkSlice(di.n, lo, hi); err != nil {
-		return nil, err
-	}
-	return di.pool.TopSlice(f.Keys, f.Vals, k, skip, lo, hi), nil
+	return topSlice(ctx, di.pool, di.n, f, k, skip, lo, hi)
 }
 
 // JoinFragments evaluates the Algorithm 3 merge join of two gathered

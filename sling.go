@@ -144,13 +144,7 @@ func BuildOutOfCore(g *Graph, spillDir string, memBudget int64, opts ...BuildOpt
 
 // SimRank returns s̃(u, v) with at most Meta().Eps additive error.
 func (ix *Index) SimRank(ctx context.Context, u, v NodeID) (float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if err := checkNode(ix.n, u); err != nil {
-		return 0, err
-	}
-	if err := checkNode(ix.n, v); err != nil {
+	if err := guard(ctx, ix.n, u, v); err != nil {
 		return 0, err
 	}
 	return ix.pool.SimRank(u, v), nil
@@ -159,10 +153,7 @@ func (ix *Index) SimRank(ctx context.Context, u, v NodeID) (float64, error) {
 // SingleSource returns s̃(u, v) for every node v (Algorithm 6 of the
 // paper), writing into out when it has capacity NumNodes.
 func (ix *Index) SingleSource(ctx context.Context, u NodeID, out []float64) ([]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := guard(ctx, ix.n, u); err != nil {
 		return nil, err
 	}
 	return ix.pool.SingleSource(u, out), nil
@@ -174,10 +165,7 @@ func (ix *Index) SingleSource(ctx context.Context, u NodeID, out []float64) ([]f
 // count. Cancellation is observed between sources: a cancelled ctx stops
 // the fan-out and returns ctx.Err().
 func (ix *Index) SingleSourceBatch(ctx context.Context, us []NodeID) ([][]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNodes(ix.n, us); err != nil {
+	if err := guard(ctx, ix.n, us...); err != nil {
 		return nil, err
 	}
 	return ix.x.SingleSourceBatch(ctx, us, 0)
@@ -193,10 +181,7 @@ type Scored = core.TopEntry
 // full sort — and every buffer beyond the returned slice is pooled.
 // k <= 0 yields an empty result; k > NumNodes behaves like k = NumNodes.
 func (ix *Index) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := guard(ctx, ix.n, u); err != nil {
 		return nil, err
 	}
 	return ix.pool.TopK(u, k), nil
@@ -206,10 +191,7 @@ func (ix *Index) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
 // itself included, typically in first place with s(u,u)=1) in descending
 // score order, breaking ties by node ID.
 func (ix *Index) SourceTop(ctx context.Context, u NodeID, limit int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := guard(ctx, ix.n, u); err != nil {
 		return nil, err
 	}
 	return ix.pool.SourceTop(u, limit), nil
@@ -281,7 +263,7 @@ func ReadIndex(r io.Reader, g *Graph) (*Index, error) {
 // implements Querier.
 type DiskIndex struct {
 	d       *core.DiskIndex
-	pool    *core.DiskScratchPool
+	pool    *core.ScratchPool
 	n       int
 	workers int
 }
@@ -336,7 +318,7 @@ func OpenDiskWithOptions(path string, g *Graph, o *DiskOptions) (*DiskIndex, err
 	if err != nil {
 		return nil, err
 	}
-	di := &DiskIndex{d: d, pool: d.NewScratchPool(), n: g.NumNodes(), workers: runtime.GOMAXPROCS(0)}
+	di := &DiskIndex{d: d, pool: d.Meta().NewScratchPool(), n: g.NumNodes(), workers: runtime.GOMAXPROCS(0)}
 	if o != nil {
 		if o.CacheBytes > 0 {
 			d.EnableCache(o.CacheBytes)
@@ -355,28 +337,23 @@ func (di *DiskIndex) Mapped() bool { return di.d.Mapped() }
 // SimRank returns s̃(u, v) reading H(u) and H(v) from disk (or the entry
 // cache), with pooled scratch; safe for concurrent use.
 func (di *DiskIndex) SimRank(ctx context.Context, u, v NodeID) (float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
+	if err := guard(ctx, di.n, u, v); err != nil {
 		return 0, err
 	}
-	if err := checkNode(di.n, u); err != nil {
-		return 0, err
-	}
-	if err := checkNode(di.n, v); err != nil {
-		return 0, err
-	}
-	return di.pool.SimRank(u, v)
+	s := di.pool.Scratch()
+	defer di.pool.PutScratch(s)
+	return di.d.SimRank(u, v, s)
 }
 
 // SingleSource returns s̃(u, v) for every node v, reading H(u) from disk
 // with one positioned read and propagating in memory (Algorithm 6).
 func (di *DiskIndex) SingleSource(ctx context.Context, u NodeID, out []float64) ([]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
+	if err := guard(ctx, di.n, u); err != nil {
 		return nil, err
 	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	return di.pool.SingleSource(u, out)
+	ss := di.pool.Source()
+	defer di.pool.PutSource(ss)
+	return di.d.SingleSource(u, ss, out)
 }
 
 // SingleSourceBatch answers one single-source query per source in us,
@@ -384,10 +361,7 @@ func (di *DiskIndex) SingleSource(ctx context.Context, u NodeID, out []float64) 
 // Row i equals SingleSource(us[i], nil) exactly, at any worker count.
 // Cancellation is observed between sources.
 func (di *DiskIndex) SingleSourceBatch(ctx context.Context, us []NodeID) ([][]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNodes(di.n, us); err != nil {
+	if err := guard(ctx, di.n, us...); err != nil {
 		return nil, err
 	}
 	return di.d.SingleSourceBatch(ctx, us, di.workers)
@@ -397,26 +371,24 @@ func (di *DiskIndex) SingleSourceBatch(ctx context.Context, us []NodeID) ([][]fl
 // descending score order, selected with the same size-k heap as the
 // in-memory index over one disk single-source evaluation.
 func (di *DiskIndex) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
+	if err := guard(ctx, di.n, u); err != nil {
 		return nil, err
 	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	return di.pool.TopK(u, k)
+	ss := di.pool.Source()
+	defer di.pool.PutSource(ss)
+	return di.d.TopK(u, k, ss)
 }
 
 // SourceTop returns the limit highest-scoring nodes for source u (u
 // itself included, typically first with s(u,u)=1) in descending score
 // order, breaking ties by node ID.
 func (di *DiskIndex) SourceTop(ctx context.Context, u NodeID, limit int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
+	if err := guard(ctx, di.n, u); err != nil {
 		return nil, err
 	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	return di.pool.SourceTop(u, limit)
+	ss := di.pool.Source()
+	defer di.pool.PutSource(ss)
+	return di.d.SourceTop(u, limit, ss)
 }
 
 // Meta describes the disk index as a Querier backend ("disk-mmap" when
@@ -628,13 +600,7 @@ func (dx *DynamicIndex) Close() error {
 // SimRank returns s̃(u, v) in [0, 1]: static-index fast path for
 // unaffected nodes, fresh estimation on the mutated graph otherwise.
 func (dx *DynamicIndex) SimRank(ctx context.Context, u, v NodeID) (float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if err := checkNode(dx.n, u); err != nil {
-		return 0, err
-	}
-	if err := checkNode(dx.n, v); err != nil {
+	if err := guard(ctx, dx.n, u, v); err != nil {
 		return 0, err
 	}
 	return dx.d.SimRank(u, v), nil
@@ -643,10 +609,7 @@ func (dx *DynamicIndex) SimRank(ctx context.Context, u, v NodeID) (float64, erro
 // SingleSource returns s̃(u, v) for every node v, writing into out when
 // it has capacity.
 func (dx *DynamicIndex) SingleSource(ctx context.Context, u NodeID, out []float64) ([]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(dx.n, u); err != nil {
+	if err := guard(ctx, dx.n, u); err != nil {
 		return nil, err
 	}
 	return dx.d.SingleSource(u, out), nil
@@ -656,10 +619,7 @@ func (dx *DynamicIndex) SingleSource(ctx context.Context, u NodeID, out []float6
 // across DynamicOptions.Workers goroutines. Cancellation is observed
 // between sources.
 func (dx *DynamicIndex) SingleSourceBatch(ctx context.Context, us []NodeID) ([][]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNodes(dx.n, us); err != nil {
+	if err := guard(ctx, dx.n, us...); err != nil {
 		return nil, err
 	}
 	return dx.d.SingleSourceBatch(ctx, us, 0)
@@ -668,10 +628,7 @@ func (dx *DynamicIndex) SingleSourceBatch(ctx context.Context, us []NodeID) ([][
 // TopK returns the k nodes most similar to u (excluding u) in descending
 // score order, ties by ascending node ID.
 func (dx *DynamicIndex) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(dx.n, u); err != nil {
+	if err := guard(ctx, dx.n, u); err != nil {
 		return nil, err
 	}
 	return dx.d.TopK(u, k), nil
@@ -680,10 +637,7 @@ func (dx *DynamicIndex) TopK(ctx context.Context, u NodeID, k int) ([]Scored, er
 // SourceTop returns the limit highest-scoring nodes for source u (u
 // itself included) in descending score order.
 func (dx *DynamicIndex) SourceTop(ctx context.Context, u NodeID, limit int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(dx.n, u); err != nil {
+	if err := guard(ctx, dx.n, u); err != nil {
 		return nil, err
 	}
 	return dx.d.SourceTop(u, limit), nil

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
+	"os"
 	"sync"
 	"testing"
 
@@ -235,6 +237,11 @@ func TestErrNodeRangeUniform(t *testing.T) {
 				t.Fatalf("%s: SourceTop(%d) err = %v, want ErrNodeRange", name, bad, err)
 			}
 		}
+		for _, b := range []ShardBackend{ix, di} {
+			if _, err := b.Fragment(bg, bad); !errors.Is(err, ErrNodeRange) {
+				t.Fatalf("%s: Fragment(%d) err = %v, want ErrNodeRange", b.Meta().Name, bad, err)
+			}
+		}
 	}
 }
 
@@ -279,6 +286,76 @@ func TestPreCancelledContext(t *testing.T) {
 		}
 		if _, err := q.SourceTop(ctx, 0, 3); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: SourceTop err = %v, want context.Canceled", name, err)
+		}
+	}
+	for _, b := range []ShardBackend{ix, di} {
+		name := b.Meta().Name
+		f, err := b.Fragment(bg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Fragment(ctx, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Fragment err = %v, want context.Canceled", name, err)
+		}
+		if err := b.SourceSliceInto(ctx, f, 0, 2, make([]float64, 2)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: SourceSliceInto err = %v, want context.Canceled", name, err)
+		}
+		if _, err := b.TopSlice(ctx, f, 3, 0, 0, 2); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: TopSlice err = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// TestDiskReadErrorsFacade: once positioned reads fail (the file is
+// truncated to the start of its entries regions after open), every
+// facade shape of a ReadAt DiskIndex returns an error wrapping the read
+// failure and a nil result, and nothing panics.
+func TestDiskReadErrorsFacade(t *testing.T) {
+	g := testGraph(30, 150, 86)
+	ix, err := Build(g, WithEps(0.1), WithSeed(87))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/trunc.sling"
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		di, err := OpenDiskWithOptions(path, g, &DiskOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer di.Close()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, st.Size()-16*di.NumEntries()); err != nil {
+			t.Fatal(err)
+		}
+		check := func(shape string, err error, isNil bool) {
+			t.Helper()
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("workers=%d %s: err = %v, want a wrapped io.EOF", workers, shape, err)
+			}
+			if !isNil {
+				t.Fatalf("workers=%d %s: non-nil result alongside %v", workers, shape, err)
+			}
+		}
+		score, err := di.SimRank(bg, 3, 17)
+		check("SimRank", err, score == 0)
+		vec, err := di.SingleSource(bg, 3, nil)
+		check("SingleSource", err, vec == nil)
+		top, err := di.TopK(bg, 3, 5)
+		check("TopK", err, top == nil)
+		top, err = di.SourceTop(bg, 3, 5)
+		check("SourceTop", err, top == nil)
+		f, err := di.Fragment(bg, 3)
+		check("Fragment", err, f == nil)
+		rows, err := di.SingleSourceBatch(bg, []NodeID{3, 1, 4, 1, 5})
+		check("SingleSourceBatch", err, rows == nil)
+		if err := ix.Save(path); err != nil { // restore for the next pass
+			t.Fatal(err)
 		}
 	}
 }
