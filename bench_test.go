@@ -229,6 +229,7 @@ func BenchmarkFig9ParallelBuild(b *testing.B) {
 	s := setup(b, "Enron")
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "workers-1", 2: "workers-2", 4: "workers-4"}[workers], func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Build(s.g, &core.Options{Eps: benchEps, Seed: 1, Workers: workers}); err != nil {
 					b.Fatal(err)

@@ -140,7 +140,12 @@ func cmdBuild(args []string) error {
 	if *oocDir != "" {
 		ix, err = sling.BuildOutOfCore(g, *oocDir, *memMiB<<20, opts...)
 	} else {
-		ix, err = sling.Build(g, opts...)
+		var st sling.BuildStats
+		ix, st, err = sling.BuildWithStats(g, opts...)
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "build phases: sample+update %v, reduce+assemble %v, marks %v\n",
+				st.SampleTime.Round(time.Millisecond), st.AssembleTime.Round(time.Millisecond), st.MarkTime.Round(time.Millisecond))
+		}
 	}
 	if err != nil {
 		return err

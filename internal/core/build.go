@@ -1,22 +1,31 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"sling/internal/graph"
 	"sling/internal/rng"
 	"sling/internal/walk"
 )
 
-// BuildStats reports work done during preprocessing.
+// BuildStats reports work done during preprocessing. The counts are
+// deterministic for a given graph and Options at any worker count; the
+// phase wall times are not, so compare builds by the counts only.
 type BuildStats struct {
 	WalkPairs int64 // √c-walk pairs drawn for correction factors
 	HPPushes  int64 // local-update pushes of Algorithm 2
 	Entries   int   // HP entries kept before space reduction
 	Dropped   int   // entries removed by the Section 5.2 reduction
+
+	SampleTime   time.Duration // phases 1+2: d̃_k estimation and local update
+	AssembleTime time.Duration // phases 3+4: space reduction and CSR assembly
+	MarkTime     time.Duration // phase 5: enhancement marks
 }
 
 // Build constructs a SLING index over g. See Options for knobs; the zero
@@ -43,49 +52,34 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 
 	// Phase 1+2, parallel over target nodes k (Section 5.4): estimate d̃_k
 	// (Algorithm 1 or 4) and run the local-update pass (Algorithm 2).
-	// Workers own contiguous k-ranges; all sampling for node k is seeded
-	// by (Seed, k), so the result is identical at any worker count.
-	workers := prm.workers
-	if workers > n {
-		workers = n
-	}
-	outs := make([][]hpEntry, workers)
-	pairCounts := make([]int64, workers)
-	pushCounts := make([]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	// Workers claim one k at a time, so a worker that draws the hubs
+	// (low IDs on power-law graphs) does not hold up the others. All
+	// sampling for k is seeded by (Seed, k) and each pass lands in its
+	// own perK[k], so the result is identical at any worker count. Each
+	// pass is kept at its exact size: no HP entry is copied when a
+	// buffer grows, which is what sets the build's memory high-water mark.
+	start := time.Now()
+	perK := make([][]hpEntry, n)
+	var walkPairs, hpPushes atomic.Int64
+	// Items never fail and the context is never cancelled.
+	_ = ForEach(context.Background(), n, prm.workers, func() func(k int) error {
+		scratch := newHPScratch(n)
+		var pass []hpEntry
+		return func(k int) error {
+			wk := walk.New(g, prm.c, rng.New(mixSeed(prm.seed, k)))
+			dk, pairs := estimateD(g, wk, graph.NodeID(k), prm)
+			x.d[k] = dk
+			var pushes int64
+			pass, pushes = hpPass(g, graph.NodeID(k), prm.sqrtC, prm.theta, scratch, pass[:0])
+			perK[k] = slices.Clone(pass)
+			walkPairs.Add(int64(pairs))
+			hpPushes.Add(pushes)
+			return nil
 		}
-		if lo >= hi {
-			outs[w] = nil
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			scratch := newHPScratch(n)
-			var out []hpEntry
-			for k := lo; k < hi; k++ {
-				wk := walk.New(g, prm.c, rng.New(mixSeed(prm.seed, k)))
-				dk, pairs := estimateD(g, wk, graph.NodeID(k), prm)
-				x.d[k] = dk
-				pairCounts[w] += int64(pairs)
-				var pushes int64
-				out, pushes = hpPass(g, graph.NodeID(k), prm.sqrtC, prm.theta, scratch, out)
-				pushCounts[w] += pushes
-			}
-			outs[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		st.WalkPairs += pairCounts[w]
-		st.HPPushes += pushCounts[w]
-		st.Entries += len(outs[w])
-	}
+	})
+	st.WalkPairs, st.HPPushes = walkPairs.Load(), hpPushes.Load()
+	st.SampleTime = time.Since(start)
+	start = time.Now()
 
 	// Phase 3: decide space reduction per node (Section 5.2) before
 	// assembling the CSR, so dropped entries are never materialized.
@@ -99,8 +93,8 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	}
 
 	// Phase 4: assemble the per-node CSR by counting scatter over the
-	// worker outputs in k-order (deterministic), then sort each node's
-	// entries by (step, target) key.
+	// passes in k-order (deterministic), then sort each node's entries
+	// by (step, target) key.
 	keep := func(e hpEntry) bool {
 		if !x.reduced[e.x] {
 			return true
@@ -110,8 +104,9 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	}
 	counts := make([]int64, n+1)
 	total := 0
-	for _, out := range outs {
-		for _, e := range out {
+	for _, pass := range perK {
+		st.Entries += len(pass)
+		for _, e := range pass {
 			if keep(e) {
 				counts[e.x+1]++
 				total++
@@ -127,8 +122,8 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	x.vals = make([]float64, total)
 	cursor := make([]int64, n)
 	copy(cursor, x.off[:n])
-	for w, out := range outs {
-		for _, e := range out {
+	for k, pass := range perK {
+		for _, e := range pass {
 			if keep(e) {
 				c := cursor[e.x]
 				x.keys[c] = e.key
@@ -136,13 +131,15 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 				cursor[e.x]++
 			}
 		}
-		// Drop the scattered worker output so it can be collected before
-		// sorting, which would otherwise double peak build memory.
-		outs[w] = nil
+		// Drop each scattered pass so the entries can be collected as
+		// the CSR fills, instead of living until the build returns.
+		perK[k] = nil
 	}
 	for v := 0; v < n; v++ {
 		sortEntries(x.keys[x.off[v]:x.off[v+1]], x.vals[x.off[v]:x.off[v+1]])
 	}
+	st.AssembleTime = time.Since(start)
+	start = time.Now()
 
 	// Phase 5: enhancement marks (Section 5.3).
 	if prm.enhance {
@@ -150,6 +147,7 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	} else {
 		x.markOff = make([]int64, n+1)
 	}
+	st.MarkTime = time.Since(start)
 	return x, st, nil
 }
 

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"hash/crc64"
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
+	"sling/internal/extsort"
 	"sling/internal/graph"
 	"sling/internal/power"
 	"sling/internal/rng"
 	"sling/internal/walk"
+	"sling/internal/workload"
 )
 
 func randomGraph(n, m int, seed uint64) *graph.Graph {
@@ -251,6 +255,13 @@ func TestQuerySymmetry(t *testing.T) {
 	}
 }
 
+// countsOf strips the phase wall times from st, which vary run to run,
+// leaving the deterministic counts.
+func countsOf(st BuildStats) BuildStats {
+	st.SampleTime, st.AssembleTime, st.MarkTime = 0, 0, 0
+	return st
+}
+
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	g := randomGraph(50, 300, 35)
 	x1 := buildIndex(t, g, &Options{Eps: 0.06, Seed: 37, Workers: 1})
@@ -267,6 +278,82 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		if x1.d[k] != x4.d[k] {
 			t.Fatalf("d[%d] differs across worker counts", k)
 		}
+	}
+
+	// On a preferential-attachment graph the hubs sit at low IDs, so the
+	// workers draw very unequal shares of the work and finish target
+	// nodes out of order. The serialized index and the build counts must
+	// not depend on that, in memory or out of core.
+	fam, _ := workload.FamilyByName("powerlaw")
+	pa := fam.Gen(300, 41)
+	for _, enhance := range []bool{false, true} {
+		var ref []byte
+		var refSt BuildStats
+		for _, workers := range []int{1, 2, 3, 8} {
+			o := &Options{Eps: 0.05, Seed: 43, Workers: workers, Enhance: enhance}
+			x, st, err := BuildWithStats(pa, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := indexBytes(t, x)
+			if workers == 1 {
+				ref, refSt = b, countsOf(st)
+				continue
+			}
+			if !bytes.Equal(b, ref) {
+				t.Fatalf("enhance=%v: index bytes at %d workers differ from 1 worker", enhance, workers)
+			}
+			if countsOf(st) != refSt {
+				t.Fatalf("enhance=%v: build counts at %d workers %+v, at 1 worker %+v", enhance, workers, countsOf(st), refSt)
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			o := &Options{Eps: 0.05, Seed: 43, Workers: workers, Enhance: enhance}
+			x, err := BuildOutOfCore(pa, o, OutOfCoreOptions{Dir: t.TempDir(), MemBudget: extsort.MinMemBudget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(indexBytes(t, x), ref) {
+				t.Fatalf("enhance=%v: out-of-core index bytes at %d workers differ from the in-memory build", enhance, workers)
+			}
+		}
+	}
+}
+
+func indexBytes(t *testing.T, x *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBuildAllocsBounded pins the bytes a build allocates to a fixed
+// multiple of the HP entries it produces. A build that grows one output
+// buffer by append copies entries each time the buffer grows and
+// allocates about 5.8x the entry bytes on this fixture; keeping each
+// target's pass at its exact size allocates about 1.6x, the CSR arrays
+// included. The bound sits between the two.
+func TestBuildAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	fam, _ := workload.FamilyByName("powerlaw")
+	g := fam.Gen(3000, 47)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, st, err := BuildWithStats(g, &Options{Eps: 0.03, Seed: 49, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryBytes := float64(st.Entries) * float64(reflect.TypeOf(hpEntry{}).Size())
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / entryBytes
+	t.Logf("allocated %.2fx the %d entries' bytes", ratio, st.Entries)
+	const maxRatio = 3.0
+	if ratio > maxRatio {
+		t.Fatalf("build allocated %.2fx its HP entry bytes, bound %.1fx", ratio, maxRatio)
 	}
 }
 

@@ -54,7 +54,11 @@ type Options struct {
 	// estimated with failure budget Delta/n. Default 1/n (so δ_d = 1/n²,
 	// as in Section 7.1).
 	Delta float64
-	// Workers bounds build parallelism (Section 5.4). Default 1.
+	// Workers bounds build parallelism (Section 5.4). Default 1. Workers
+	// claim target nodes one at a time, so skewed graphs whose hubs share
+	// an ID range still balance, and the index is byte-identical at any
+	// worker count. A dynamic index rebuilds on at most GOMAXPROCS-1 of
+	// them, leaving a core to the epoch still serving (dynamic.Options).
 	Workers int
 	// Seed fixes all sampling. The estimate for node k depends only on
 	// (Seed, k), never on scheduling, so builds are reproducible at any

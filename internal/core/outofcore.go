@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"sling/internal/extsort"
@@ -28,10 +29,12 @@ type OutOfCoreOptions struct {
 	MemBudget int64
 }
 
-// BuildOutOfCore constructs the same index as Build while keeping HP
-// entries out of memory until final assembly. The HP pass is sequential
-// over target nodes (runs are written "in turn", as the paper describes);
-// the d̃ estimation still honors o.Workers.
+// BuildOutOfCore constructs the same index as Build, byte for byte at
+// any worker count, while keeping HP entries out of memory until final
+// assembly. The d̃ estimation runs on o.Workers goroutines that claim
+// target nodes one at a time; the HP pass then runs sequentially over
+// target nodes, so the sorter's runs are written "in turn", as the paper
+// describes.
 func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, error) {
 	prm, err := o.resolve(g.NumNodes())
 	if err != nil {
@@ -121,38 +124,15 @@ func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, er
 }
 
 // estimateAllD fills d with correction-factor estimates, parallel over
-// contiguous node ranges (deterministic: sampling for node k is seeded by
-// (Seed, k)).
+// target nodes claimed one at a time (deterministic: sampling for node k
+// is seeded by (Seed, k)).
 func estimateAllD(g *graph.Graph, prm resolved, d []float64) {
-	n := g.NumNodes()
-	workers := prm.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	done := make(chan struct{}, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	// Items never fail and the context is never cancelled.
+	_ = ForEach(context.Background(), g.NumNodes(), prm.workers, func() func(k int) error {
+		return func(k int) error {
+			wk := walk.New(g, prm.c, rng.New(mixSeed(prm.seed, k)))
+			d[k], _ = estimateD(g, wk, graph.NodeID(k), prm)
+			return nil
 		}
-		if lo >= hi {
-			done <- struct{}{}
-			continue
-		}
-		go func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				wk := walk.New(g, prm.c, rng.New(mixSeed(prm.seed, k)))
-				dk, _ := estimateD(g, wk, graph.NodeID(k), prm)
-				d[k] = dk
-			}
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	})
 }

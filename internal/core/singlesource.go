@@ -210,10 +210,10 @@ func CtxErr(ctx context.Context) error {
 
 // ForEach calls fn(i) for every i in [0, count), fanned across at most
 // workers goroutines (workers <= 1 runs on the calling goroutine). It is
-// the one batch fan-out of the query stack: the in-memory, disk and
-// dynamic batches all run on it. worker is called once per goroutine and
-// returns that goroutine's fn, so per-worker state such as scratch is
-// set up there. Items are claimed from a shared atomic counter so
+// the one fan-out of the query stack and of the build: the in-memory,
+// disk and dynamic batches and the per-target-node build phases all run
+// on it. worker is called once per goroutine and returns that
+// goroutine's fn, so per-worker state such as scratch is set up there. Items are claimed from a shared atomic counter so
 // stragglers don't idle a worker; each item is independent, so results
 // are identical at any worker count.
 //

@@ -66,7 +66,13 @@ type OpResult struct {
 type Options struct {
 	// Build configures the initial core.Build and every rebuild. Rebuild
 	// determinism — and the rebuild-equivalence guarantee — come from
-	// reusing these options (including Seed) verbatim.
+	// reusing these options (including Seed) verbatim. The one exception
+	// is parallelism: the initial build in New runs on Build.Workers, but
+	// a rebuild, which competes with the queries the current epoch keeps
+	// serving, runs on max(1, min(Build.Workers, GOMAXPROCS-1)) so one
+	// core stays free for them. A build's output does not depend on its
+	// worker count, so the rebuilt index is still byte-identical to a
+	// fresh core.Build with these options.
 	Build core.Options
 	// RebuildThreshold is the number of applied edge ops that triggers a
 	// background rebuild. 0 disables automatic rebuilds.
@@ -492,6 +498,7 @@ func (d *Dynamic) rebuildLocked() (uint64, error) {
 	d.mu.Unlock()
 
 	opt := d.buildOpt
+	opt.Workers = rebuildWorkers(opt.Workers)
 	ix, err := core.Build(snap, &opt)
 
 	d.mu.Lock()
@@ -526,6 +533,13 @@ func (d *Dynamic) rebuildLocked() (uint64, error) {
 		}
 	}
 	return gen.num, nil
+}
+
+// rebuildWorkers is the parallelism of a rebuild given the caller's
+// Build.Workers: at most GOMAXPROCS-1, leaving a core to the epoch that
+// serves queries while the rebuild runs, and at least 1.
+func rebuildWorkers(workers int) int {
+	return max(1, min(workers, runtime.GOMAXPROCS(0)-1))
 }
 
 // Close stops the rebuild machinery: no further updates or rebuilds are

@@ -1,6 +1,8 @@
 package dynamic
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,23 +86,31 @@ func contains(edges map[uint64]struct{}, u, v graph.NodeID) bool {
 
 // TestRebuildEquivalence is the core property test: for random update
 // sequences on random graphs, a Dynamic index after a forced rebuild
-// returns byte-identical results — pair, single-source, top-k, source-top
-// and batch — to a fresh core.Build of the mutated graph with the same
-// options. Dynamic clamps scores into [0, 1], so the fresh baseline goes
-// through the identical clamp (which is the identity wherever the raw
-// index stays in range).
+// serializes to the same bytes and returns byte-identical results —
+// pair, single-source, top-k, source-top and batch — as a fresh
+// core.Build of the mutated graph with the same options. Dynamic clamps
+// scores into [0, 1], so the fresh baseline goes through the identical
+// clamp (which is the identity wherever the raw index stays in range).
+// The Workers: 4 case runs at GOMAXPROCS 2, where the rebuild leaves a
+// core to serving and builds on 1 worker while the fresh build uses 4.
 func TestRebuildEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if w := rebuildWorkers(4); w != 1 {
+		t.Fatalf("rebuild at GOMAXPROCS 2 runs on %d workers, want 1", w)
+	}
 	cases := []struct {
 		n, m, ops int
 		seed      uint64
+		workers   int
 	}{
 		{n: 20, m: 60, ops: 30, seed: 1},
 		{n: 40, m: 160, ops: 60, seed: 2},
 		{n: 70, m: 350, ops: 120, seed: 3},
+		{n: 70, m: 350, ops: 120, seed: 4, workers: 4},
 	}
 	for _, tc := range cases {
 		g, edges := randomGraph(tc.n, tc.m, tc.seed)
-		opts := core.Options{Eps: 0.08, Seed: 7 + tc.seed}
+		opts := core.Options{Eps: 0.08, Seed: 7 + tc.seed, Workers: tc.workers}
 		d, err := New(g, Options{Build: opts, NumWalks: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -120,6 +130,16 @@ func TestRebuildEquivalence(t *testing.T) {
 		fresh, err := core.Build(mutated, &opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if _, err := d.cur.Load().gen.ix.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d workers=%d: rebuilt index bytes differ from a fresh build", tc.n, tc.workers)
 		}
 		pool := fresh.NewScratchPool()
 

@@ -464,7 +464,12 @@ var (
 	ErrDurableCorrupt = durable.ErrCorrupt
 )
 
-// DynamicOptions tunes the dynamic layer beyond its defaults.
+// DynamicOptions tunes the dynamic layer beyond its defaults. The index
+// itself is built with the BuildOptions passed next to it. The initial
+// build uses WithWorkers in full; a rebuild, which runs while the current
+// epoch keeps serving, uses max(1, min(workers, GOMAXPROCS-1)) so a core
+// stays free for queries. Build output does not depend on the worker
+// count, so a rebuild still matches a fresh Build byte for byte.
 type DynamicOptions struct {
 	// RebuildThreshold is the number of applied edge ops that triggers a
 	// background rebuild. 0 disables automatic rebuilds.
